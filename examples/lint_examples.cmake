@@ -54,13 +54,13 @@ foreach(design IN LISTS rnl_files)
     continue()
   endif()
 
-  # The JSON renderer must agree.
+  # The JSON response frame must agree.
   execute_process(
     COMMAND "${RTV_BIN}" lint "${design}" --json
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     TIMEOUT 120)
-  if(NOT rc STREQUAL "0" OR NOT out MATCHES "\"clean\": true")
+  if(NOT rc STREQUAL "0" OR NOT out MATCHES "\"clean\":true")
     message(SEND_ERROR "${name}: JSON report not clean (exit ${rc})\n"
       "  stdout: ${out}")
     math(EXPR failures "${failures} + 1")

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "io/json.hpp"
 
 namespace rtv {
 
@@ -116,19 +115,6 @@ std::string render_text(const DiagnosticReport& report) {
   }
   os << report.num_errors() << " error(s), " << report.num_warnings()
      << " warning(s), " << report.num_notes() << " note(s)\n";
-  return os.str();
-}
-
-std::string diagnostic_to_json(const Diagnostic& diagnostic) {
-  std::ostringstream os;
-  os << "{\"code\": \"" << to_string(diagnostic.code) << "\", \"severity\": \""
-     << to_string(diagnostic.severity) << "\"";
-  if (diagnostic.node.valid()) {
-    os << ", \"node\": " << diagnostic.node.value << ", \"name\": \""
-       << json_escape(diagnostic.node_name) << "\"";
-  }
-  if (diagnostic.move_index) os << ", \"move\": " << *diagnostic.move_index;
-  os << ", \"message\": \"" << json_escape(diagnostic.message) << "\"}";
   return os.str();
 }
 

@@ -109,7 +109,4 @@ class DiagnosticReport {
 ///   error[RTV101] node 'g': unconnected input pin 1
 std::string render_text(const DiagnosticReport& report);
 
-/// One diagnostic as a JSON object (used by the lint JSON renderer).
-std::string diagnostic_to_json(const Diagnostic& diagnostic);
-
 }  // namespace rtv

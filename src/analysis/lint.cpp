@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "io/json.hpp"
 
 namespace rtv {
 
@@ -80,47 +79,6 @@ std::string render_text(const LintResult& result) {
       if (p.feasible) os << "certificate: " << p.certificate() << "\n";
     }
   }
-  return os.str();
-}
-
-std::string render_json(const LintResult& result) {
-  std::ostringstream os;
-  os << "{\n  \"rtv_lint_version\": 1,\n  \"summary\": {\"errors\": "
-     << result.diagnostics.num_errors()
-     << ", \"warnings\": " << result.diagnostics.num_warnings()
-     << ", \"notes\": " << result.diagnostics.num_notes() << ", \"clean\": "
-     << (result.clean() ? "true" : "false") << "},\n  \"diagnostics\": [";
-  const auto& diags = result.diagnostics.diagnostics();
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    " << diagnostic_to_json(diags[i]);
-  }
-  os << (diags.empty() ? "]" : "\n  ]");
-  if (result.dataflow_stats) {
-    const DataflowStats& s = *result.dataflow_stats;
-    os << ",\n  \"dataflow\": {\"ports\": " << s.num_ports
-       << ", \"iterations\": " << s.iterations << ", \"updates\": "
-       << s.updates << ", \"table_fallbacks\": " << s.table_fallbacks << "}";
-  }
-  if (result.plan) {
-    const PlanAnalysis& p = *result.plan;
-    os << ",\n  \"plan\": {\n    \"analyzable\": "
-       << (p.analyzable ? "true" : "false");
-    if (!p.analyzable) {
-      os << ",\n    \"precondition_error\": \""
-         << json_escape(p.precondition_error) << "\"";
-    }
-    os << ",\n    \"feasible\": " << (p.feasible ? "true" : "false")
-       << ",\n    \"moves\": " << p.stats.total_moves
-       << ",\n    \"forward_moves\": " << p.stats.forward_moves
-       << ",\n    \"backward_moves\": " << p.stats.backward_moves
-       << ",\n    \"forward_across_non_justifiable\": "
-       << p.stats.forward_across_non_justifiable << ",\n    \"k\": " << p.k()
-       << ",\n    \"safe_replacement\": "
-       << (p.stats.preserves_safe_replacement() ? "true" : "false")
-       << ",\n    \"certificate\": \"" << json_escape(p.certificate())
-       << "\"\n  }";
-  }
-  os << "\n}\n";
   return os.str();
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // The lint driver: runs every registered pass over a netlist (and
-// optionally a retiming plan) and renders the result as text or JSON.
-// This is the engine behind `rtv lint` and the flow's input precondition.
+// optionally a retiming plan) and renders the result as text. This is the
+// engine behind `rtv lint` and the flow's input precondition; the JSON form
+// of a result is the lint job's (serve/jobs.hpp).
 
 #include <optional>
 #include <vector>
@@ -33,14 +34,5 @@ LintResult run_lint(const Netlist& netlist,
 
 /// Human-readable report (diagnostic lines, plan verdict, summary).
 std::string render_text(const LintResult& result);
-
-/// Machine-readable report:
-///   { "rtv_lint_version": 1,
-///     "summary": {"errors": E, "warnings": W, "notes": N, "clean": bool},
-///     "diagnostics": [...],
-///     "plan": {"analyzable", "feasible", "moves", "forward_moves",
-///              "backward_moves", "forward_across_non_justifiable", "k",
-///              "safe_replacement", "certificate"} }   // when a plan ran
-std::string render_json(const LintResult& result);
 
 }  // namespace rtv

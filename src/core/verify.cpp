@@ -229,7 +229,21 @@ ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,
     merged.exhausted = true;
     merged.blown = sat_usage.blown ? sat_usage.blown : bdd_usage.blown;
   }
-  result.usage = budget != nullptr ? budget->usage() : merged;
+  if (budget != nullptr) {
+    // The caller's budget metered only the babysitting loop; the engines'
+    // work ran on their own slices and belongs in the report too.
+    const ResourceUsage parent = budget->usage();
+    merged.wall_ms = parent.wall_ms;
+    merged.steps += parent.steps;
+    merged.state_pairs = parent.state_pairs;
+    merged.peak_bdd_nodes =
+        std::max(merged.peak_bdd_nodes, parent.peak_bdd_nodes);
+    if (parent.exhausted) {
+      merged.exhausted = true;
+      merged.blown = parent.blown;
+    }
+  }
+  result.usage = merged;
   return result;
 }
 

@@ -90,7 +90,7 @@ struct BudgetSpec {
 /// for job types that need a design (both empty for kStats/kShutdown);
 /// kClsEquivalence additionally carries design_b_text/design_b_id.
 /// `options` keeps the per-type "options" object (JSON null when absent)
-/// for the handler to interpret.
+/// for the job layer (serve/jobs.hpp) to interpret.
 struct JobRequest {
   std::string id;
   JobType type = JobType::kStats;

@@ -164,13 +164,6 @@ class Server {
     std::chrono::steady_clock::time_point wedge_at{};
   };
 
-  /// What each job's handlers get: the per-job cancellation token the
-  /// watchdog fires, and the job's absolute deadline (if any).
-  struct JobEnv {
-    CancellationToken cancel;
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-  };
-
   /// Parses one frame and either answers inline (control requests,
   /// malformed frames, shed jobs) or admits a job: started immediately
   /// when a slot is free, else queued. The connection's outstanding count
@@ -214,21 +207,12 @@ class Server {
 
   void watchdog_main();
 
-  /// Per-type handlers. Each returns the "result" object and fills the
-  /// wire stats (verdict, usage, cache_hit).
-  JsonValue execute(const JobRequest& request, const JobEnv& env,
-                    JobStatsWire* stats, std::string* design_id);
-  JsonValue handle_lint(const JobRequest& request, JobStatsWire* stats,
-                        std::string* design_id);
-  JsonValue handle_validate(const JobRequest& request, const JobEnv& env,
-                            JobStatsWire* stats, std::string* design_id);
-  JsonValue handle_faultsim(const JobRequest& request, const JobEnv& env,
-                            JobStatsWire* stats, std::string* design_id);
-  JsonValue handle_cls_equivalence(const JobRequest& request,
-                                   const JobEnv& env, JobStatsWire* stats,
-                                   std::string* design_id);
-  JsonValue handle_simulate(const JobRequest& request, const JobEnv& env,
-                            JobStatsWire* stats, std::string* design_id);
+  /// Resolves the job's designs through the cache and runs it through the
+  /// job layer (serve/jobs.hpp) under its own budget, token and deadline.
+  /// Returns the "result" object and fills the wire stats (verdict, usage,
+  /// cache_hit).
+  JsonValue execute(const Job& job, JobStatsWire* stats,
+                    std::string* design_id);
   JsonValue stats_result() const;
   JsonValue health_result() const;
   JsonValue shutdown_result();
@@ -236,16 +220,6 @@ class Server {
   std::shared_ptr<const CachedDesign> resolve_design(
       const std::optional<std::string>& text,
       const std::optional<std::string>& id, bool* cache_hit);
-
-  /// The job's resource caps: its own budget fields, with the server's
-  /// default time budget filled in when the request has none, and the
-  /// wall-clock budget clamped to the time remaining before `deadline` —
-  /// queue wait has already been spent, so the handler only gets what is
-  /// left.
-  ResourceLimits limits_for(
-      const JobRequest& request,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline)
-      const;
 
   void begin_shutdown();
   void serve_fd(int fd);

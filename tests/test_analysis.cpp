@@ -16,6 +16,7 @@
 #include "retime/min_area.hpp"
 #include "retime/min_period.hpp"
 #include "retime/sequencer.hpp"
+#include "serve/jobs.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -367,25 +368,33 @@ TEST(PlanJson, RejectsMalformedPlans) {
 
 // ---- JSON report shape -----------------------------------------------------
 
+/// The lint job's result object (the `rtv lint --json` / serve shape).
+JsonValue lint_json(const Netlist& d, const std::vector<RetimingMove>& plan) {
+  JsonValue::Object options;
+  if (!plan.empty()) {
+    options.emplace_back("plan", JsonValue(plan_to_json(d, plan)));
+  }
+  serve::JobDesigns designs;
+  designs.a = &d;
+  return serve::run_job(serve::JobType::kLint, JsonValue(std::move(options)),
+                        designs, {})
+      .result;
+}
+
 TEST(LintJson, ReportParsesAndHasTheDocumentedShape) {
   const Netlist d = figure1_original();
   const std::vector<RetimingMove> plan{
       {d.find_by_name("J1"), MoveDirection::kForward}};
-  const LintResult result = run_lint(d, plan);
-  const JsonValue doc = parse_json(render_json(result));
-
+  const JsonValue doc = parse_json(write_json(lint_json(d, plan)));
   ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.find("rtv_lint_version")->as_number(), 1.0);
 
   // RTV201 (unsafe forward) + RTV301 (stuck-at-X latch) warnings; RTV205
   // (delay bound) + RTV305 (move statically certified: junctions preserve
   // all-X) notes. Canonical order sorts by code.
-  const JsonValue* summary = doc.find("summary");
-  ASSERT_NE(summary, nullptr);
-  EXPECT_EQ(summary->find("errors")->as_number(), 0.0);
-  EXPECT_EQ(summary->find("warnings")->as_number(), 2.0);
-  EXPECT_EQ(summary->find("notes")->as_number(), 2.0);
-  EXPECT_FALSE(summary->find("clean")->as_bool());
+  EXPECT_EQ(doc.find("errors")->as_number(), 0.0);
+  EXPECT_EQ(doc.find("warnings")->as_number(), 2.0);
+  EXPECT_EQ(doc.find("notes")->as_number(), 2.0);
+  EXPECT_FALSE(doc.find("clean")->as_bool());
 
   const JsonValue* dataflow = doc.find("dataflow");
   ASSERT_NE(dataflow, nullptr);
@@ -397,14 +406,14 @@ TEST(LintJson, ReportParsesAndHasTheDocumentedShape) {
   const JsonValue& unsafe = diags->as_array()[0];
   EXPECT_EQ(unsafe.find("code")->as_string(), "RTV201");
   EXPECT_EQ(unsafe.find("severity")->as_string(), "warning");
-  EXPECT_EQ(unsafe.find("name")->as_string(), "J1");
+  EXPECT_EQ(unsafe.find("node")->as_string(), "J1");
   EXPECT_EQ(unsafe.find("move")->as_number(), 0.0);
   EXPECT_EQ(diags->as_array()[1].find("code")->as_string(), "RTV205");
   EXPECT_EQ(diags->as_array()[2].find("code")->as_string(), "RTV301");
   const JsonValue& certified = diags->as_array()[3];
   EXPECT_EQ(certified.find("code")->as_string(), "RTV305");
   EXPECT_EQ(certified.find("severity")->as_string(), "note");
-  EXPECT_EQ(certified.find("name")->as_string(), "J1");
+  EXPECT_EQ(certified.find("node")->as_string(), "J1");
   EXPECT_EQ(certified.find("move")->as_number(), 0.0);
 
   const JsonValue* p = doc.find("plan");
@@ -421,9 +430,8 @@ TEST(LintJson, ReportParsesAndHasTheDocumentedShape) {
 }
 
 TEST(LintJson, CleanReportIsCleanAndPlanless) {
-  const JsonValue doc =
-      parse_json(render_json(run_lint(inverter_pipeline())));
-  EXPECT_TRUE(doc.find("summary")->find("clean")->as_bool());
+  const JsonValue doc = lint_json(inverter_pipeline(), {});
+  EXPECT_TRUE(doc.find("clean")->as_bool());
   EXPECT_TRUE(doc.find("diagnostics")->as_array().empty());
   EXPECT_EQ(doc.find("plan"), nullptr);
 }

@@ -146,6 +146,20 @@ TEST(BackendCrosscheck, PortfolioStampsTheDecidingEngine) {
       << r.decided_reason;
 }
 
+TEST(BackendCrosscheck, PortfolioUsageUnderABudgetCountsTheEngines) {
+  // Under a caller budget the portfolio used to report that budget alone:
+  // the babysitting loop's few checkpoints and none of the engines' work.
+  const Netlist n = toggle_circuit();
+  VerifyOptions opt;
+  opt.backend = EquivalenceBackend::kPortfolio;
+  opt.allow_static_proof = false;
+  ResourceBudget budget;
+  const ClsEquivalenceResult r = verify_cls_equivalence(n, n, opt, &budget);
+  ASSERT_EQ(r.verdict, Verdict::kProven);
+  EXPECT_GT(r.usage.steps, budget.usage().steps);
+  EXPECT_FALSE(r.usage.exhausted);
+}
+
 /// Shared well-formedness bar for fault-injected runs on an *equivalent*
 /// pair: whatever tripped, the report must never claim inequivalence, never
 /// carry a counterexample, and must label exhaustion honestly.

@@ -20,6 +20,7 @@
 #include "gen/random_circuits.hpp"
 #include "retime/graph.hpp"
 #include "retime/moves.hpp"
+#include "serve/jobs.hpp"
 #include "sim/cls_sim.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -493,7 +494,17 @@ TEST(Rendering, TextAndJsonAreByteStableAcrossRuns) {
   const LintResult first = run_lint(n, plan);
   const LintResult second = run_lint(n, plan);
   EXPECT_EQ(render_text(first), render_text(second));
-  EXPECT_EQ(render_json(first), render_json(second));
+  // The JSON form is the lint job's result (serve/jobs.hpp).
+  JsonValue::Object options;
+  options.emplace_back("plan", JsonValue(plan_to_json(n, plan)));
+  serve::JobDesigns designs;
+  designs.a = &n;
+  const auto json = [&] {
+    return write_json(
+        serve::run_job(serve::JobType::kLint, JsonValue(options), designs, {})
+            .result);
+  };
+  EXPECT_EQ(json(), json());
 
   // And the documented shape of the stats line.
   const std::string text = render_text(first);

@@ -15,6 +15,7 @@
 
 #include "io/json.hpp"
 #include "io/rnl_format.hpp"
+#include "serve/jobs.hpp"
 #include "serve/protocol.hpp"
 
 namespace rtv {
@@ -155,13 +156,34 @@ TEST(DocsExamples, EveryWireFrameExampleSatisfiesTheProtocol) {
       EXPECT_EQ(serve::validate_response(doc), "") << example.text;
       ++responses;
     } else {
-      EXPECT_NO_THROW(serve::parse_request(doc)) << example.text;
+      // The documented options must be ones the job layer accepts.
+      EXPECT_NO_THROW({
+        const serve::JobRequest request = serve::parse_request(doc);
+        serve::check_job_options(request.type, request.options);
+      }) << example.text;
       ++requests;
     }
   }
   // One request + response pair per job type, at minimum.
   EXPECT_GE(requests, 7u);
   EXPECT_GE(responses, 7u);
+}
+
+TEST(DocsExamples, EveryJobOptionIsDocumented) {
+  // serve.md documents each job type's options; an option the job layer
+  // accepts (and the CLI therefore takes as a flag) must appear there.
+  const std::string text =
+      read_file(std::filesystem::path(RTV_DOCS_DIR) / "serve.md");
+  for (const serve::JobType type :
+       {serve::JobType::kLint, serve::JobType::kValidate,
+        serve::JobType::kFaultSim, serve::JobType::kClsEquivalence,
+        serve::JobType::kSimulate}) {
+    for (const serve::OptionSpec& spec : serve::option_specs(type)) {
+      EXPECT_NE(text.find(std::string("`") + spec.key + "`"),
+                std::string::npos)
+          << to_string(type) << " option " << spec.key;
+    }
+  }
 }
 
 }  // namespace

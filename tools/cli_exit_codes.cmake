@@ -96,6 +96,35 @@ check(faultsim_exhausted_fail 7 "resource budget exhausted"
       faultsim "${toggle}" --mode=exact --random=8 --cycles=4
       --step-quota=1 --on-exhaust=fail)
 
+# The job commands are one-frame clients of the serve job layer: every job
+# option is a flag (max_pairs and random_sequences were serve-only), an
+# option value the job layer rejects is a usage error, and a missing plan
+# file is an I/O error.
+check(job_option_flags 0 ""
+      cls-equiv "${toggle}" "${toggle}" --max-pairs=1000 --random-sequences 8)
+check(job_option_bad_value 2 "option \"backend\" must be"
+      cls-equiv "${toggle}" "${toggle}" --backend=quantum)
+check(validate_default_objective 0 "" validate "${toggle}" --backend sat)
+check(lint_plan_missing 6 "io error: cannot open"
+      lint "${toggle}" --plan "${RTV_FIXTURES}/no_such_plan.json")
+check(lint_plan 0 "" lint "${toggle}" --plan "${RTV_FIXTURES}/toggle_plan.json")
+
+# --json prints the response frame `rtv serve` would send for the request.
+execute_process(
+  COMMAND "${RTV_BIN}" cls-equiv "${toggle}" "${toggle}" --json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 120)
+if(NOT out MATCHES "^{\"rtv_serve\":3,.*\"ok\":true,\"type\":\"cls-equivalence\",\"result\":{\"equivalent\":true")
+  message(SEND_ERROR "cls-equiv --json is not a response frame: ${out}")
+  math(EXPR failures "${failures} + 1")
+endif()
+execute_process(
+  COMMAND "${RTV_BIN}" lint "${toggle}" --plan "${RTV_FIXTURES}/toggle_plan.json" --json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 120)
+if(NOT out MATCHES "\"plan\":{\"analyzable\":")
+  message(SEND_ERROR "lint --plan --json carries no plan verdict: ${out}")
+  math(EXPR failures "${failures} + 1")
+endif()
+
 if(failures GREATER 0)
   message(FATAL_ERROR "${failures} exit-code check(s) failed")
 endif()
