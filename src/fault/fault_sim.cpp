@@ -2,8 +2,6 @@
 
 #include "fault/engine.hpp"
 #include "sim/packed_sim.hpp"
-#include "sim/parallel_sim.hpp"
-#include "util/bits.hpp"
 
 namespace rtv {
 
@@ -32,48 +30,6 @@ FaultSimResult fault_simulate(const Netlist& netlist,
                               const FaultSimOptions& options) {
   FaultSimEngine engine(netlist, tests, options);
   return engine.run(faults);
-}
-
-bool sampled_test_detects(const Netlist& netlist, const Fault& fault,
-                          const BitsSeq& test, unsigned lanes, Rng& rng) {
-  const Netlist faulty = inject_fault(netlist, fault);
-  ParallelBinarySimulator good(netlist, lanes);
-  ParallelBinarySimulator bad(faulty, lanes);
-  // The faulty copy appends nodes but never removes or reorders latches, so
-  // latch index i refers to the same latch in both designs: give each lane
-  // the same random power-up state in both.
-  RTV_CHECK(good.num_latches() == bad.num_latches());
-  for (unsigned l = 0; l < good.num_latches(); ++l) {
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      const bool v = rng.coin();
-      good.set_state_bit(l, lane, v);
-      bad.set_state_bit(l, lane, v);
-    }
-  }
-  const unsigned words = good.words();
-  for (const Bits& in : test) {
-    good.step_broadcast(in);
-    bad.step_broadcast(in);
-    for (unsigned o = 0; o < good.num_outputs(); ++o) {
-      // Definite difference over the sample: all good lanes agree on v,
-      // all faulty lanes agree on !v. Check lane-wise agreement via the
-      // packed words (tail lanes beyond `lanes` are masked).
-      bool good_all0 = true, good_all1 = true, bad_all0 = true,
-           bad_all1 = true;
-      const auto* gw = good.output_words(o);
-      const auto* bw = bad.output_words(o);
-      for (unsigned w = 0; w < words; ++w) {
-        const std::uint64_t mask =
-            (w + 1 == words && lanes % 64 != 0) ? low_mask(lanes % 64) : ~0ULL;
-        good_all0 &= (gw[w] & mask) == 0;
-        good_all1 &= (gw[w] & mask) == mask;
-        bad_all0 &= (bw[w] & mask) == 0;
-        bad_all1 &= (bw[w] & mask) == mask;
-      }
-      if ((good_all0 && bad_all1) || (good_all1 && bad_all0)) return true;
-    }
-  }
-  return false;
 }
 
 namespace {

@@ -3,7 +3,6 @@
 #include "sim/binary_sim.hpp"
 #include "sim/cls_sim.hpp"
 #include "sim/exact_sim.hpp"
-#include "sim/packed_sim.hpp"
 #include "util/bits.hpp"
 
 namespace rtv {
@@ -57,11 +56,6 @@ TritsSeq exact_response_delayed(const Netlist& netlist, const BitsSeq& test,
 TritsSeq cls_response(const Netlist& netlist, const BitsSeq& test) {
   ClsSimulator sim(netlist);
   return sim.run(test);
-}
-
-std::vector<TritsSeq> cls_response_batch(const Netlist& netlist,
-                                         const std::vector<BitsSeq>& tests) {
-  return packed_cls_run(netlist, tests);
 }
 
 bool responses_distinguish(const TritsSeq& good, const TritsSeq& faulty) {

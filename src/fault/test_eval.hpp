@@ -30,12 +30,6 @@ TritsSeq exact_response_delayed(const Netlist& netlist, const BitsSeq& test,
 /// CLS response from the all-X state.
 TritsSeq cls_response(const Netlist& netlist, const BitsSeq& test);
 
-/// CLS responses of a whole test set at once, 64 tests per machine word
-/// (the packed ternary engine). Entry i equals cls_response(netlist,
-/// tests[i]); use this form whenever a test set is evaluated in bulk.
-std::vector<TritsSeq> cls_response_batch(const Netlist& netlist,
-                                         const std::vector<BitsSeq>& tests);
-
 /// True iff the two responses definitely differ at some (cycle, output).
 bool responses_distinguish(const TritsSeq& good, const TritsSeq& faulty);
 

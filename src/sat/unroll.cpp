@@ -30,7 +30,7 @@ void Unroller::build_frame(std::size_t t) {
   for (Aig::Var v = 0; v < aig_.num_vars(); ++v) {
     switch (aig_.kind(v)) {
       case Aig::NodeKind::kConst:
-        frame[v] = const_true_;  // var 0 positive literal = true
+        frame[v] = neg(const_true_);  // var 0 positive literal = Aig::kFalse
         break;
       case Aig::NodeKind::kInput:
         frame[v] = mk_lit(solver_.new_var(), false);

@@ -1,30 +1,39 @@
 #include "sim/binary_sim.hpp"
 
-#include "sim/packed_sim.hpp"
 #include "util/bits.hpp"
 
 namespace rtv {
 
-std::vector<BitsSeq> BinarySimulator::run_batch(
-    const Netlist& netlist, const Bits& state,
-    const std::vector<BitsSeq>& tests) {
-  return packed_binary_run(netlist, state, tests);
+namespace {
+
+void lift(const Bits& bits, Trits& out) {
+  out.resize(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) out[i] = to_trit(bits[i] != 0);
 }
 
-BinarySimulator::BinarySimulator(const Netlist& netlist)
-    : netlist_(netlist),
-      ports_(netlist),
-      topo_(combinational_topo_order(netlist)),
-      io_pos_(netlist.num_slots(), 0),
-      state_(netlist.latches().size(), 0),
-      values_(ports_.size(), 0) {
-  const auto fill = [&](const std::vector<NodeId>& ids) {
-    for (std::uint32_t i = 0; i < ids.size(); ++i) io_pos_[ids[i].value] = i;
-  };
-  fill(netlist.primary_inputs());
-  fill(netlist.primary_outputs());
-  fill(netlist.latches());
+void lift(std::uint64_t word, unsigned width, Trits& out) {
+  out.resize(width);
+  for (unsigned i = 0; i < width; ++i) out[i] = to_trit(get_bit(word, i));
 }
+
+/// Definite inputs on a definite state keep every CLS value definite.
+void lower(const Trits& trits, Bits& out) {
+  RTV_CHECK(try_lower_to_bits(trits, out));
+}
+
+std::uint64_t lower_packed(const Trits& trits) {
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < trits.size(); ++i) {
+    RTV_CHECK(is_definite(trits[i]));
+    if (trits[i] == Trit::kOne) word |= 1ULL << i;
+  }
+  return word;
+}
+
+}  // namespace
+
+BinarySimulator::BinarySimulator(const Netlist& netlist)
+    : cls_(netlist), state_(netlist.latches().size(), 0) {}
 
 void BinarySimulator::set_state(const Bits& latch_values) {
   RTV_REQUIRE(latch_values.size() == state_.size(),
@@ -34,7 +43,7 @@ void BinarySimulator::set_state(const Bits& latch_values) {
 
 Bits BinarySimulator::step(const Bits& inputs) {
   Bits outputs, next_state;
-  eval_into(state_, inputs, outputs, next_state, values_);
+  eval(state_, inputs, outputs, next_state);
   state_ = std::move(next_state);
   return outputs;
 }
@@ -48,7 +57,11 @@ BitsSeq BinarySimulator::run(const BitsSeq& inputs) {
 
 void BinarySimulator::eval(const Bits& state, const Bits& inputs,
                            Bits& outputs, Bits& next_state) const {
-  eval_into(state, inputs, outputs, next_state, values_);
+  lift(state, state_in_);
+  lift(inputs, inputs_in_);
+  cls_.eval(state_in_, inputs_in_, outputs_out_, next_out_);
+  lower(outputs_out_, outputs);
+  lower(next_out_, next_state);
 }
 
 void BinarySimulator::eval_packed(std::uint64_t state, std::uint64_t inputs,
@@ -57,101 +70,11 @@ void BinarySimulator::eval_packed(std::uint64_t state, std::uint64_t inputs,
   const unsigned nl = num_latches();
   const unsigned ni = num_inputs();
   RTV_REQUIRE(nl <= 64 && ni <= 64, "eval_packed capacity exceeded");
-  Bits out_bits, next_bits;
-  eval_into(unpack_bits(state, nl), unpack_bits(inputs, ni), out_bits,
-            next_bits, values_);
-  outputs = pack_bits(out_bits);
-  next_state = pack_bits(next_bits);
-}
-
-void BinarySimulator::eval_into(const Bits& state, const Bits& inputs,
-                                Bits& outputs, Bits& next_state,
-                                std::vector<std::uint8_t>& values) const {
-  RTV_REQUIRE(state.size() == netlist_.latches().size(),
-              "state vector size mismatch");
-  RTV_REQUIRE(inputs.size() == netlist_.primary_inputs().size(),
-              "input vector size mismatch");
-  outputs.assign(netlist_.primary_outputs().size(), 0);
-  next_state.assign(state.size(), 0);
-
-  const auto value_of = [&](PortRef p) -> std::uint8_t {
-    return values[ports_.index(p)];
-  };
-
-  for (const NodeId id : topo_) {
-    const Node& n = netlist_.node(id);
-    const std::uint32_t base = ports_.index(PortRef(id, 0));
-    switch (n.kind) {
-      case CellKind::kInput:
-        values[base] = inputs[io_pos_[id.value]];
-        break;
-      case CellKind::kLatch:
-        values[base] = state[io_pos_[id.value]];
-        break;
-      case CellKind::kOutput:
-        outputs[io_pos_[id.value]] = value_of(n.fanin[0]);
-        break;
-      case CellKind::kConst0:
-        values[base] = 0;
-        break;
-      case CellKind::kConst1:
-        values[base] = 1;
-        break;
-      case CellKind::kBuf:
-        values[base] = value_of(n.fanin[0]);
-        break;
-      case CellKind::kNot:
-        values[base] = value_of(n.fanin[0]) ^ 1;
-        break;
-      case CellKind::kAnd:
-      case CellKind::kNand: {
-        std::uint8_t acc = 1;
-        for (const PortRef& d : n.fanin) acc &= value_of(d);
-        values[base] = (n.kind == CellKind::kNand) ? acc ^ 1 : acc;
-        break;
-      }
-      case CellKind::kOr:
-      case CellKind::kNor: {
-        std::uint8_t acc = 0;
-        for (const PortRef& d : n.fanin) acc |= value_of(d);
-        values[base] = (n.kind == CellKind::kNor) ? acc ^ 1 : acc;
-        break;
-      }
-      case CellKind::kXor:
-      case CellKind::kXnor: {
-        std::uint8_t acc = 0;
-        for (const PortRef& d : n.fanin) acc ^= value_of(d);
-        values[base] = (n.kind == CellKind::kXnor) ? acc ^ 1 : acc;
-        break;
-      }
-      case CellKind::kMux: {
-        const std::uint8_t s = value_of(n.fanin[0]);
-        values[base] = s != 0 ? value_of(n.fanin[2]) : value_of(n.fanin[1]);
-        break;
-      }
-      case CellKind::kJunc: {
-        const std::uint8_t v = value_of(n.fanin[0]);
-        for (std::uint32_t p = 0; p < n.num_ports(); ++p) values[base + p] = v;
-        break;
-      }
-      case CellKind::kTable: {
-        std::uint64_t minterm = 0;
-        for (std::uint32_t pin = 0; pin < n.num_pins(); ++pin) {
-          if (value_of(n.fanin[pin]) != 0) minterm |= (1ULL << pin);
-        }
-        const std::uint64_t row = netlist_.table(n.table).eval_row(minterm);
-        for (std::uint32_t p = 0; p < n.num_ports(); ++p) {
-          values[base + p] = get_bit(row, p) ? 1 : 0;
-        }
-        break;
-      }
-    }
-  }
-
-  for (std::uint32_t i = 0; i < netlist_.latches().size(); ++i) {
-    const Node& latch = netlist_.node(netlist_.latches()[i]);
-    next_state[i] = values[ports_.index(latch.fanin[0])];
-  }
+  lift(state, nl, state_in_);
+  lift(inputs, ni, inputs_in_);
+  cls_.eval(state_in_, inputs_in_, outputs_out_, next_out_);
+  outputs = lower_packed(outputs_out_);
+  next_state = lower_packed(next_out_);
 }
 
 }  // namespace rtv

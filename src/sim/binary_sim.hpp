@@ -5,9 +5,13 @@
 // via set_state / eval. Each step() evaluates the combinational logic for
 // the current (state, inputs), emits the primary-output values of that
 // cycle, then clocks every latch with the value at its data pin.
+//
+// A Boolean run is a CLS run on definite values — the ternary extension of
+// every cell agrees with the cell's Boolean function there — so this is a
+// Bits-typed view of ClsSimulator rather than a second interpreter.
 
 #include "netlist/netlist.hpp"
-#include "sim/port_map.hpp"
+#include "sim/cls_sim.hpp"
 #include "sim/vectors.hpp"
 
 namespace rtv {
@@ -18,9 +22,9 @@ class BinarySimulator {
   /// simulator exists. Not thread-safe (shared scratch buffers).
   explicit BinarySimulator(const Netlist& netlist);
 
-  unsigned num_inputs() const { return static_cast<unsigned>(netlist_.primary_inputs().size()); }
-  unsigned num_outputs() const { return static_cast<unsigned>(netlist_.primary_outputs().size()); }
-  unsigned num_latches() const { return static_cast<unsigned>(netlist_.latches().size()); }
+  unsigned num_inputs() const { return cls_.num_inputs(); }
+  unsigned num_outputs() const { return cls_.num_outputs(); }
+  unsigned num_latches() const { return cls_.num_latches(); }
 
   /// Sets the current latch state (layout: Netlist::latches() order).
   void set_state(const Bits& latch_values);
@@ -31,14 +35,6 @@ class BinarySimulator {
 
   /// Runs a whole input sequence; returns one output vector per cycle.
   BitsSeq run(const BitsSeq& inputs);
-
-  /// Runs many independent input sequences from one shared power-up state,
-  /// 64 sequences per machine word via the packed ternary engine
-  /// (sim/packed_sim.hpp). Result i equals running sequence i alone from
-  /// `state`. Static because the lanes share nothing with this simulator.
-  static std::vector<BitsSeq> run_batch(const Netlist& netlist,
-                                        const Bits& state,
-                                        const std::vector<BitsSeq>& tests);
 
   /// Pure transition-function query: outputs and next state for an explicit
   /// (state, inputs) pair. Does not touch the internal state.
@@ -51,16 +47,10 @@ class BinarySimulator {
                    std::uint64_t& outputs, std::uint64_t& next_state) const;
 
  private:
-  void eval_into(const Bits& state, const Bits& inputs, Bits& outputs,
-                 Bits& next_state, std::vector<std::uint8_t>& values) const;
-
-  const Netlist& netlist_;
-  PortMap ports_;
-  std::vector<NodeId> topo_;
-  /// Position of each PI / PO / latch node within its vector (by slot).
-  std::vector<std::uint32_t> io_pos_;
+  ClsSimulator cls_;
   Bits state_;
-  mutable std::vector<std::uint8_t> values_;
+  /// Ternary staging of each query, reused across calls.
+  mutable Trits state_in_, inputs_in_, outputs_out_, next_out_;
 };
 
 }  // namespace rtv

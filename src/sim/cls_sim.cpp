@@ -1,13 +1,6 @@
 #include "sim/cls_sim.hpp"
 
-#include "sim/packed_sim.hpp"
-
 namespace rtv {
-
-std::vector<TritsSeq> ClsSimulator::run_batch(
-    const Netlist& netlist, const std::vector<TritsSeq>& tests) {
-  return packed_cls_run(netlist, tests);
-}
 
 ClsSimulator::ClsSimulator(const Netlist& netlist)
     : netlist_(netlist),

@@ -7,6 +7,11 @@
 // the CLS forgets correlations between X values — precisely the information
 // forward retiming across a non-justifiable element destroys — which is why
 // retiming preserves CLS-observable behaviour (Theorem 5.1, Corollary 5.3).
+//
+// eval() is one of the two netlist interpreters in src/sim (the other is the
+// packed engine, sim/packed_sim.hpp). It is the scalar reference the packed
+// engine, the AIG/BDD CLS encodings and counterexample replays are checked
+// against, and BinarySimulator runs it on definite values.
 
 #include "netlist/netlist.hpp"
 #include "sim/port_map.hpp"
@@ -44,13 +49,6 @@ class ClsSimulator {
   /// Runs a whole ternary input sequence.
   TritsSeq run(const TritsSeq& inputs);
   TritsSeq run(const BitsSeq& inputs) { return run(to_trits(inputs)); }
-
-  /// Runs many independent input sequences, each from the all-X state,
-  /// 64 sequences per machine word via the packed ternary engine
-  /// (sim/packed_sim.hpp). Result i equals `ClsSimulator(n).run(tests[i])`.
-  /// Static because the lanes share nothing with this simulator's state.
-  static std::vector<TritsSeq> run_batch(const Netlist& netlist,
-                                         const std::vector<TritsSeq>& tests);
 
   /// Pure transition-function query; does not touch the internal state.
   void eval(const Trits& state, const Trits& inputs, Trits& outputs,

@@ -99,85 +99,85 @@ const TritWord* PackedTernarySimulator::output_words(unsigned output) const {
 }
 
 void PackedTernarySimulator::eval_and_clock() {
-  const unsigned W = words_;
+  const unsigned nw = words_;
   TritWord* const vals = values_.data();
   const auto port_words = [&](PortRef p) -> TritWord* {
-    return vals + static_cast<std::size_t>(ports_.index(p)) * W;
+    return vals + static_cast<std::size_t>(ports_.index(p)) * nw;
   };
 
   for (const NodeId id : topo_) {
     const Node& n = netlist_.node(id);
     TritWord* const out =
-        vals + static_cast<std::size_t>(ports_.index(PortRef(id, 0))) * W;
+        vals + static_cast<std::size_t>(ports_.index(PortRef(id, 0))) * nw;
     switch (n.kind) {
       case CellKind::kInput: {
         const TritWord* src =
-            &inputs_[static_cast<std::size_t>(io_pos_[id.value]) * W];
-        for (unsigned w = 0; w < W; ++w) out[w] = src[w];
+            &inputs_[static_cast<std::size_t>(io_pos_[id.value]) * nw];
+        for (unsigned w = 0; w < nw; ++w) out[w] = src[w];
         break;
       }
       case CellKind::kLatch: {
         const TritWord* src =
-            &state_[static_cast<std::size_t>(io_pos_[id.value]) * W];
-        for (unsigned w = 0; w < W; ++w) out[w] = src[w];
+            &state_[static_cast<std::size_t>(io_pos_[id.value]) * nw];
+        for (unsigned w = 0; w < nw; ++w) out[w] = src[w];
         break;
       }
       case CellKind::kOutput: {
         TritWord* dst =
-            &outputs_[static_cast<std::size_t>(io_pos_[id.value]) * W];
+            &outputs_[static_cast<std::size_t>(io_pos_[id.value]) * nw];
         const TritWord* src = port_words(n.fanin[0]);
-        for (unsigned w = 0; w < W; ++w) dst[w] = src[w];
+        for (unsigned w = 0; w < nw; ++w) dst[w] = src[w];
         break;
       }
       case CellKind::kConst0:
-        for (unsigned w = 0; w < W; ++w) out[w] = TritWord{0, 0};
+        for (unsigned w = 0; w < nw; ++w) out[w] = TritWord{0, 0};
         break;
       case CellKind::kConst1:
-        for (unsigned w = 0; w < W; ++w) out[w] = TritWord{~0ULL, 0};
+        for (unsigned w = 0; w < nw; ++w) out[w] = TritWord{~0ULL, 0};
         break;
       case CellKind::kBuf: {
         const TritWord* a = port_words(n.fanin[0]);
-        for (unsigned w = 0; w < W; ++w) out[w] = a[w];
+        for (unsigned w = 0; w < nw; ++w) out[w] = a[w];
         break;
       }
       case CellKind::kNot: {
         const TritWord* a = port_words(n.fanin[0]);
-        for (unsigned w = 0; w < W; ++w) out[w] = not_w(a[w]);
+        for (unsigned w = 0; w < nw; ++w) out[w] = not_w(a[w]);
         break;
       }
       case CellKind::kAnd:
       case CellKind::kNand: {
-        for (unsigned w = 0; w < W; ++w) out[w] = TritWord{~0ULL, 0};
+        for (unsigned w = 0; w < nw; ++w) out[w] = TritWord{~0ULL, 0};
         for (const PortRef& d : n.fanin) {
           const TritWord* a = port_words(d);
-          for (unsigned w = 0; w < W; ++w) out[w] = and_w(out[w], a[w]);
+          for (unsigned w = 0; w < nw; ++w) out[w] = and_w(out[w], a[w]);
         }
         if (n.kind == CellKind::kNand) {
-          for (unsigned w = 0; w < W; ++w) out[w] = not_w(out[w]);
+          for (unsigned w = 0; w < nw; ++w) out[w] = not_w(out[w]);
         }
         break;
       }
       case CellKind::kOr:
       case CellKind::kNor: {
-        for (unsigned w = 0; w < W; ++w) out[w] = TritWord{0, 0};
+        for (unsigned w = 0; w < nw; ++w) out[w] = TritWord{0, 0};
         for (const PortRef& d : n.fanin) {
           const TritWord* a = port_words(d);
-          for (unsigned w = 0; w < W; ++w) out[w] = or_w(out[w], a[w]);
+          for (unsigned w = 0; w < nw; ++w) out[w] = or_w(out[w], a[w]);
         }
         if (n.kind == CellKind::kNor) {
-          for (unsigned w = 0; w < W; ++w) out[w] = not_w(out[w]);
+          for (unsigned w = 0; w < nw; ++w) out[w] = not_w(out[w]);
         }
         break;
       }
       case CellKind::kXor:
       case CellKind::kXnor: {
-        for (unsigned w = 0; w < W; ++w) out[w] = TritWord{0, 0};
+        for (unsigned w = 0; w < nw; ++w) out[w] = TritWord{0, 0};
         for (const PortRef& d : n.fanin) {
           const TritWord* a = port_words(d);
-          for (unsigned w = 0; w < W; ++w) out[w] = xor_w(out[w], a[w]);
+          for (unsigned w = 0; w < nw; ++w) out[w] = xor_w(out[w], a[w]);
         }
         if (n.kind == CellKind::kXnor) {
-          for (unsigned w = 0; w < W; ++w) out[w] = not_w(out[w]);
+          for (unsigned w = 0; w < nw; ++w) out[w] = not_w(out[w]);
         }
         break;
       }
@@ -185,14 +185,14 @@ void PackedTernarySimulator::eval_and_clock() {
         const TritWord* s = port_words(n.fanin[0]);
         const TritWord* a = port_words(n.fanin[1]);
         const TritWord* b = port_words(n.fanin[2]);
-        for (unsigned w = 0; w < W; ++w) out[w] = mux_w(s[w], a[w], b[w]);
+        for (unsigned w = 0; w < nw; ++w) out[w] = mux_w(s[w], a[w], b[w]);
         break;
       }
       case CellKind::kJunc: {
         const TritWord* a = port_words(n.fanin[0]);
         for (std::uint32_t p = 0; p < n.num_ports(); ++p) {
           TritWord* dst = port_words(PortRef(id, p));
-          for (unsigned w = 0; w < W; ++w) dst[w] = a[w];
+          for (unsigned w = 0; w < nw; ++w) dst[w] = a[w];
         }
         break;
       }
@@ -206,7 +206,7 @@ void PackedTernarySimulator::eval_and_clock() {
         const unsigned num_ports = n.num_ports();
         could1_.assign(num_ports, 0);
         could0_.assign(num_ports, 0);
-        for (unsigned w = 0; w < W; ++w) {
+        for (unsigned w = 0; w < nw; ++w) {
           std::fill(could1_.begin(), could1_.end(), 0);
           std::fill(could0_.begin(), could0_.end(), 0);
           for (std::uint64_t x = 0; x < pow2(pins); ++x) {
@@ -234,8 +234,8 @@ void PackedTernarySimulator::eval_and_clock() {
   for (std::uint32_t i = 0; i < num_latches(); ++i) {
     const Node& latch = netlist_.node(netlist_.latches()[i]);
     const TritWord* src = port_words(latch.fanin[0]);
-    TritWord* dst = &state_[static_cast<std::size_t>(i) * W];
-    for (unsigned w = 0; w < W; ++w) dst[w] = src[w];
+    TritWord* dst = &state_[static_cast<std::size_t>(i) * nw];
+    for (unsigned w = 0; w < nw; ++w) dst[w] = src[w];
   }
 }
 
@@ -307,17 +307,11 @@ void pack_cycle_inputs(const std::vector<TritsSeq>& tests, std::size_t begin,
 
 namespace {
 
-/// Validates test widths against the simulator and returns per-lane lengths.
-std::vector<std::size_t> checked_lengths(const PackedTernarySimulator& sim,
-                                         const std::vector<TritsSeq>& tests) {
-  std::vector<std::size_t> lengths(tests.size());
-  for (std::size_t lane = 0; lane < tests.size(); ++lane) {
-    for (const Trits& in : tests[lane]) {
-      RTV_REQUIRE(in.size() == sim.num_inputs(), "input vector size mismatch");
-    }
-    lengths[lane] = tests[lane].size();
-  }
-  return lengths;
+std::vector<TritsSeq> lift_all(const std::vector<BitsSeq>& tests) {
+  std::vector<TritsSeq> lifted;
+  lifted.reserve(tests.size());
+  for (const BitsSeq& test : tests) lifted.push_back(to_trits(test));
+  return lifted;
 }
 
 }  // namespace
@@ -329,7 +323,14 @@ PackedResponseWords packed_cls_response_words(
   PackedTernarySimulator sim(netlist, lanes);
   const unsigned outputs = sim.num_outputs();
   const unsigned words = sim.words();
-  PackedResponseWords responses(checked_lengths(sim, tests), outputs);
+  std::vector<std::size_t> lengths(lanes);
+  for (unsigned lane = 0; lane < lanes; ++lane) {
+    for (const Trits& in : tests[lane]) {
+      RTV_REQUIRE(in.size() == sim.num_inputs(), "input vector size mismatch");
+    }
+    lengths[lane] = tests[lane].size();
+  }
+  PackedResponseWords responses(std::move(lengths), outputs);
   PackedTrits cycle_inputs(sim.num_inputs(), lanes);
   for (std::size_t t = 0; t < responses.max_length(); ++t) {
     pack_cycle_inputs(tests, 0, lanes, t, Trit::kX, &cycle_inputs);
@@ -344,116 +345,30 @@ PackedResponseWords packed_cls_response_words(
 
 PackedResponseWords packed_cls_response_words(
     const Netlist& netlist, const std::vector<BitsSeq>& tests) {
-  std::vector<TritsSeq> lifted;
-  lifted.reserve(tests.size());
-  for (const BitsSeq& test : tests) lifted.push_back(to_trits(test));
-  return packed_cls_response_words(netlist, lifted);
+  return packed_cls_response_words(netlist, lift_all(tests));
 }
-
-namespace {
-
-/// Shared driver for the batch runners: one lane per test sequence, ragged
-/// lengths allowed (lanes past their end see `idle` inputs; their extra
-/// outputs are discarded). The lane<->plane transposition works directly on
-/// the bit-planes and results land in PackedResponses' flat storage, so the
-/// stepping loop performs no per-lane allocation or bounds-checked calls —
-/// on small netlists the transposition, not the evaluation, is the
-/// throughput limit.
-PackedResponses run_lanes(PackedTernarySimulator& sim,
-                          const std::vector<TritsSeq>& tests, Trit idle) {
-  const unsigned lanes = static_cast<unsigned>(tests.size());
-  const unsigned width = sim.num_inputs();
-  const unsigned outputs = sim.num_outputs();
-  const unsigned words = sim.words();
-  std::vector<std::size_t> lengths = checked_lengths(sim, tests);
-  std::size_t max_len = 0;
-  for (const std::size_t len : lengths) max_len = std::max(max_len, len);
-  PackedResponses responses(std::move(lengths), outputs);
-  PackedTrits cycle_inputs(width, std::max(lanes, 1u));
-  for (std::size_t t = 0; t < max_len; ++t) {
-    pack_cycle_inputs(tests, 0, lanes, t, idle, &cycle_inputs);
-    sim.step_packed(cycle_inputs);
-    for (unsigned o = 0; o < outputs; ++o) {
-      const TritWord* ow = sim.output_words(o);
-      for (unsigned w = 0; w < words; ++w) {
-        const unsigned base = 64 * w;
-        const unsigned limit = std::min(64u, lanes - base);
-        const TritWord word = ow[w];
-        for (unsigned b = 0; b < limit; ++b) {
-          const unsigned lane = base + b;
-          if (t < responses.length(lane)) {
-            responses.at(lane, t, o) = get_trit(word, b);
-          }
-        }
-      }
-    }
-  }
-  return responses;
-}
-
-}  // namespace
 
 PackedResponses packed_cls_responses(const Netlist& netlist,
                                      const std::vector<TritsSeq>& tests) {
-  if (tests.empty()) return PackedResponses({}, 0);
-  PackedTernarySimulator sim(netlist, static_cast<unsigned>(tests.size()));
-  return run_lanes(sim, tests, Trit::kX);
-}
-
-PackedResponses packed_cls_responses(const Netlist& netlist,
-                                     const std::vector<BitsSeq>& tests) {
-  std::vector<TritsSeq> lifted;
-  lifted.reserve(tests.size());
-  for (const BitsSeq& test : tests) lifted.push_back(to_trits(test));
-  return packed_cls_responses(netlist, lifted);
-}
-
-namespace {
-
-std::vector<TritsSeq> materialize(const PackedResponses& responses) {
-  std::vector<TritsSeq> out(responses.num_lanes());
+  // Lane-major transposition of the word-major run: on small netlists the
+  // transposition, not the evaluation, bounds throughput, so it reads the
+  // planes directly and writes PackedResponses' flat storage in order.
+  const PackedResponseWords words = packed_cls_response_words(netlist, tests);
+  PackedResponses responses(words.lengths(), words.num_outputs());
   for (unsigned lane = 0; lane < responses.num_lanes(); ++lane) {
-    out[lane] = responses.sequence(lane);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<TritsSeq> packed_cls_run(const Netlist& netlist,
-                                     const std::vector<TritsSeq>& tests) {
-  return materialize(packed_cls_responses(netlist, tests));
-}
-
-std::vector<TritsSeq> packed_cls_run(const Netlist& netlist,
-                                     const std::vector<BitsSeq>& tests) {
-  return materialize(packed_cls_responses(netlist, tests));
-}
-
-std::vector<BitsSeq> packed_binary_run(const Netlist& netlist,
-                                       const Bits& state,
-                                       const std::vector<BitsSeq>& tests) {
-  if (tests.empty()) return {};
-  PackedTernarySimulator sim(netlist, static_cast<unsigned>(tests.size()));
-  sim.set_state_broadcast(to_trits(state));
-  std::vector<TritsSeq> lifted;
-  lifted.reserve(tests.size());
-  for (const BitsSeq& test : tests) lifted.push_back(to_trits(test));
-  const PackedResponses ternary = run_lanes(sim, lifted, Trit::kZero);
-  std::vector<BitsSeq> responses(ternary.num_lanes());
-  for (unsigned lane = 0; lane < ternary.num_lanes(); ++lane) {
-    responses[lane].reserve(ternary.length(lane));
-    for (std::size_t t = 0; t < ternary.length(lane); ++t) {
-      Trits out(ternary.num_outputs());
-      for (unsigned o = 0; o < ternary.num_outputs(); ++o) {
-        out[o] = ternary.at(lane, t, o);
+    const unsigned word = lane / 64, bit = lane % 64;
+    for (std::size_t t = 0; t < responses.length(lane); ++t) {
+      for (unsigned o = 0; o < responses.num_outputs(); ++o) {
+        responses.at(lane, t, o) = get_trit(words.at(t, o, word), bit);
       }
-      Bits bits;
-      RTV_CHECK(try_lower_to_bits(out, bits));
-      responses[lane].push_back(std::move(bits));
     }
   }
   return responses;
+}
+
+PackedResponses packed_cls_responses(const Netlist& netlist,
+                                     const std::vector<BitsSeq>& tests) {
+  return packed_cls_responses(netlist, lift_all(tests));
 }
 
 }  // namespace rtv

@@ -4,11 +4,11 @@
 //
 // Each lane evolves exactly as a ClsSimulator would (local, per-cell exact
 // ternary propagation — paper Section 5), so one packed step performs 64
-// conservative three-valued simulation steps. Definite (0/1) patterns make
-// the unknown planes vanish and every lane then evolves exactly as a
-// BinarySimulator would, which is why BinarySimulator::run_batch,
-// ClsSimulator::run_batch, the CLS fault simulator and the bounded CLS
-// equivalence checker all route through this one core.
+// conservative three-valued simulation steps. Definite (0/1) states and
+// inputs make the unknown planes vanish and every lane then evolves as a
+// Boolean machine, which is why every batch run, the CLS and sampled fault
+// simulators and the bounded CLS equivalence checker route through this one
+// core; ClsSimulator stays the scalar reference it is checked against.
 
 #include <cstdint>
 
@@ -171,29 +171,12 @@ void pack_cycle_inputs(const std::vector<TritsSeq>& tests, std::size_t begin,
                        PackedTrits* out);
 
 /// Runs every ternary input sequence from the all-X state, 64 sequences per
-/// word. Lane i of the result agrees with ClsSimulator::run(tests[i]);
-/// sequences may have different lengths. This is the fast path — a single
-/// flat result allocation.
+/// word. Lane i of the result agrees with ClsSimulator::run(tests[i]) —
+/// PackedResponses::sequence(i) materializes it; sequences may have
+/// different lengths.
 PackedResponses packed_cls_responses(const Netlist& netlist,
                                      const std::vector<TritsSeq>& tests);
 PackedResponses packed_cls_responses(const Netlist& netlist,
                                      const std::vector<BitsSeq>& tests);
-
-/// Convenience form of packed_cls_responses that materializes nested
-/// per-lane output sequences.
-std::vector<TritsSeq> packed_cls_run(const Netlist& netlist,
-                                     const std::vector<TritsSeq>& tests);
-
-/// Binary-sequence convenience overload (still all-X power-up — the form
-/// used by CLS test evaluation).
-std::vector<TritsSeq> packed_cls_run(const Netlist& netlist,
-                                     const std::vector<BitsSeq>& tests);
-
-/// Runs every Boolean input sequence from one shared definite latch state
-/// and returns the Boolean output sequences. Agrees lane-for-lane with
-/// BinarySimulator::run from that state.
-std::vector<BitsSeq> packed_binary_run(const Netlist& netlist,
-                                       const Bits& state,
-                                       const std::vector<BitsSeq>& tests);
 
 }  // namespace rtv

@@ -54,25 +54,34 @@ constexpr bool refines(Trit a, Trit b) { return a == Trit::kX || a == b; }
 // Primitive ternary gate functions (exact per-gate extensions).
 // ---------------------------------------------------------------------------
 
+// The encoding makes bit 0 "is 1" and bit 1 "is X", so the gates below are
+// straight-line bit arithmetic: a Boolean run through the CLS (definite but
+// data-dependent values) would mispredict a branch per gate.
+
+/// The trit whose definite-1 / definite-0 flags are given (X if neither).
+constexpr Trit trit_from_flags(unsigned one, unsigned zero) {
+  return static_cast<Trit>(one | (((one | zero) ^ 1U) << 1));
+}
+
 constexpr Trit not3(Trit a) {
-  return a == Trit::kX ? Trit::kX : (a == Trit::kZero ? Trit::kOne : Trit::kZero);
+  const unsigned x = static_cast<unsigned>(a);
+  return static_cast<Trit>(x ^ ((x >> 1) ^ 1U));
 }
 
 constexpr Trit and3(Trit a, Trit b) {
-  if (a == Trit::kZero || b == Trit::kZero) return Trit::kZero;
-  if (a == Trit::kOne && b == Trit::kOne) return Trit::kOne;
-  return Trit::kX;
+  const unsigned x = static_cast<unsigned>(a), y = static_cast<unsigned>(b);
+  return trit_from_flags(x & y & 1U, unsigned{x == 0} | unsigned{y == 0});
 }
 
 constexpr Trit or3(Trit a, Trit b) {
-  if (a == Trit::kOne || b == Trit::kOne) return Trit::kOne;
-  if (a == Trit::kZero && b == Trit::kZero) return Trit::kZero;
-  return Trit::kX;
+  const unsigned x = static_cast<unsigned>(a), y = static_cast<unsigned>(b);
+  return trit_from_flags((x | y) & 1U, unsigned{(x | y) == 0});
 }
 
 constexpr Trit xor3(Trit a, Trit b) {
-  if (a == Trit::kX || b == Trit::kX) return Trit::kX;
-  return to_trit((a == Trit::kOne) != (b == Trit::kOne));
+  const unsigned x = static_cast<unsigned>(a), y = static_cast<unsigned>(b);
+  const unsigned unk = (x | y) >> 1;
+  return static_cast<Trit>(((x ^ y) & 1U & (unk ^ 1U)) | (unk << 1));
 }
 
 constexpr Trit nand3(Trit a, Trit b) { return not3(and3(a, b)); }

@@ -13,8 +13,12 @@
 
 #include "core/safety.hpp"
 #include "core/verify.hpp"
+#include "gen/datapath.hpp"
 #include "gen/random_circuits.hpp"
+#include "io/rnl_format.hpp"
+#include "retime/apply.hpp"
 #include "retime/graph.hpp"
+#include "retime/min_period.hpp"
 #include "test_helpers.hpp"
 #include "util/fault_inject.hpp"
 #include "util/rng.hpp"
@@ -112,6 +116,67 @@ TEST(BackendCrosscheck, AllBackendsProveIdenticalDesignsEquivalent) {
     EXPECT_EQ(r.verdict, Verdict::kProven) << r.summary();
     EXPECT_TRUE(r.exhaustive);
   }
+}
+
+/// One input (unused) and one output tied to a constant cell.
+Netlist constant_design(bool value) {
+  Netlist n;
+  n.add_input("in");
+  const NodeId out = n.add_output("out");
+  n.connect(n.add_const(value), out);
+  n.check_valid(true);
+  return n;
+}
+
+TEST(BackendCrosscheck, SatAndPortfolioRefuteConst0AgainstConst1) {
+  // The SAT encoding must map AIG constant literal 0 to false: with it
+  // inverted both outputs read the same flipped constant and k-induction
+  // "proves" the pair equivalent at k = 0.
+  const Netlist zero = constant_design(false);
+  const Netlist one = constant_design(true);
+  for (const EquivalenceBackend backend :
+       {EquivalenceBackend::kSat, EquivalenceBackend::kPortfolio}) {
+    SCOPED_TRACE(to_string(backend));
+    const ClsEquivalenceResult r = run_backend(backend, zero, one);
+    EXPECT_FALSE(r.equivalent) << r.summary();
+    EXPECT_EQ(r.verdict, Verdict::kProven) << r.summary();
+    ASSERT_TRUE(r.counterexample.has_value());
+    EXPECT_FALSE(cls_outputs_match(zero, one, *r.counterexample));
+  }
+}
+
+TEST(BackendCrosscheck, SatProvesMuxSelectSelfPair) {
+  // examples/mux_select.rnl: the CLS dual-rail encoding of a mux uses AIG
+  // constants, so an inverted constant yields spurious counterexamples.
+  const Netlist n = read_rnl(
+      "rnl 1\n"
+      "node s input\nnode a input\nnode b input\nnode out output\n"
+      "node m mux\n"
+      "wire s.0 m.0\nwire a.0 m.1\nwire b.0 m.2\nwire m.0 out.0\n");
+  const ClsEquivalenceResult r =
+      run_backend(EquivalenceBackend::kSat, n, n, nullptr,
+                  /*allow_static_proof=*/false);
+  EXPECT_TRUE(r.equivalent) << r.summary();
+  EXPECT_EQ(r.verdict, Verdict::kProven) << r.summary();
+  EXPECT_EQ(r.decided_by, EquivalenceBackend::kSat);
+}
+
+TEST(BackendCrosscheck, BddAndSatAgreeOnDesignsWithConstantCells) {
+  // Min-period retiming of a pipelined multiplier: constant cells feed the
+  // partial-product array on both sides of the pair. (pipelined_multiplier
+  // (4, 1) has the same shape but exceeds the BDD engine's latch cap.)
+  const Netlist n = pipelined_multiplier(2, 1);
+  const RetimeGraph g = RetimeGraph::from_netlist(n);
+  const Netlist retimed = apply_retiming(n, g, min_period_retime_feas(g).lag);
+  const ClsEquivalenceResult bdd = run_backend(EquivalenceBackend::kBdd, n,
+                                               retimed, nullptr, false);
+  const ClsEquivalenceResult sat = run_backend(EquivalenceBackend::kSat, n,
+                                               retimed, nullptr, false);
+  ASSERT_EQ(bdd.verdict, Verdict::kProven) << bdd.summary();
+  EXPECT_TRUE(bdd.equivalent) << bdd.summary();
+  EXPECT_EQ(sat.equivalent, bdd.equivalent)
+      << "bdd: " << bdd.summary() << "\nsat: " << sat.summary();
+  EXPECT_EQ(sat.verdict, Verdict::kProven) << sat.summary();
 }
 
 TEST(BackendCrosscheck, AllBackendsFindReplayableCounterexamples) {

@@ -438,12 +438,18 @@ TEST(StaticProof, ExplicitStaticBackendReportsInconclusiveHonestly) {
   VerifyOptions opt;
   opt.backend = EquivalenceBackend::kStatic;
   const ClsEquivalenceResult r = verify_cls_equivalence(n, n, opt);
-  EXPECT_FALSE(r.equivalent);
+  // kExhausted contract: `equivalent` means "no difference observed", and
+  // the summary reads undecided, never equivalent or distinguishable.
+  EXPECT_TRUE(r.equivalent);
   EXPECT_FALSE(r.exhaustive);
   EXPECT_EQ(r.verdict, Verdict::kExhausted);
   EXPECT_EQ(r.decided_by, EquivalenceBackend::kStatic);
   EXPECT_NE(r.decided_reason.find("inconclusive"), std::string::npos)
       << r.decided_reason;
+  const std::string summary = r.summary();
+  EXPECT_EQ(summary.rfind("CLS-UNDECIDED (inconclusive", 0), 0u) << summary;
+  EXPECT_EQ(summary.find("DISTINGUISHABLE"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("CLS-equivalent"), std::string::npos) << summary;
 }
 
 TEST(StaticProof, SafetyReportCarriesTheCertificate) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -194,7 +195,8 @@ TEST(PackedSim, PerLaneStatesAndInputsStayIndependent) {
 }
 
 TEST(PackedSim, BatchRunMatchesScalarClsFromAllX) {
-  // The headline equivalence: packed_cls_run lane i == ClsSimulator::run on
+  // The headline equivalence: packed_cls_responses lane i ==
+  // ClsSimulator::run on
   // sequence i, from all-X power-up, over many random netlists (half with
   // table cells) and ragged sequence lengths.
   Rng rng(403);
@@ -209,11 +211,11 @@ TEST(PackedSim, BatchRunMatchesScalarClsFromAllX) {
         seq.push_back(random_trits(width, rng));
       }
     }
-    const std::vector<TritsSeq> got = packed_cls_run(n, tests);
-    ASSERT_EQ(got.size(), tests.size());
+    const PackedResponses got = packed_cls_responses(n, tests);
+    ASSERT_EQ(got.num_lanes(), tests.size());
     for (unsigned lane = 0; lane < lanes; ++lane) {
       ClsSimulator scalar(n);
-      EXPECT_EQ(got[lane], scalar.run(tests[lane])) << "lane " << lane;
+      EXPECT_EQ(got.sequence(lane), scalar.run(tests[lane])) << "lane " << lane;
     }
   }
 }
@@ -227,10 +229,11 @@ TEST(PackedSim, BatchRunMatchesScalarBeyondOneWord) {
   for (TritsSeq& seq : tests) {
     for (unsigned t = 0; t < 5; ++t) seq.push_back(random_trits(width, rng));
   }
-  const std::vector<TritsSeq> got = packed_cls_run(n, tests);
+  const PackedResponses got = packed_cls_responses(n, tests);
+  ASSERT_EQ(got.num_lanes(), tests.size());
   for (unsigned lane = 0; lane < tests.size(); ++lane) {
     ClsSimulator scalar(n);
-    EXPECT_EQ(got[lane], scalar.run(tests[lane])) << "lane " << lane;
+    EXPECT_EQ(got.sequence(lane), scalar.run(tests[lane])) << "lane " << lane;
   }
 }
 
@@ -262,6 +265,9 @@ TEST(PackedSim, PackedResponsesAgreesWithMaterializedSequences) {
 }
 
 TEST(PackedSim, BinaryRunBatchMatchesScalarBinarySimulator) {
+  // Definite lanes from one shared definite power-up state, ragged Boolean
+  // sequences chunked through pack_cycle_inputs: every lane is a Boolean
+  // run and agrees with BinarySimulator::run from that state.
   Rng rng(406);
   for (unsigned round = 0; round < 40; ++round) {
     const Netlist n = random_netlist(small_options(rng, false), rng);
@@ -269,14 +275,34 @@ TEST(PackedSim, BinaryRunBatchMatchesScalarBinarySimulator) {
     const Bits state = random_bits(n.latches().size(), rng);
     const unsigned lanes = 1 + static_cast<unsigned>(rng.below(6));
     std::vector<BitsSeq> tests(lanes);
-    for (BitsSeq& seq : tests) {
+    std::vector<TritsSeq> lifted(lanes);
+    std::size_t max_len = 0;
+    for (unsigned lane = 0; lane < lanes; ++lane) {
       const unsigned len = static_cast<unsigned>(rng.below(7));
       for (unsigned t = 0; t < len; ++t) {
-        seq.push_back(random_bits(width, rng));
+        tests[lane].push_back(random_bits(width, rng));
+      }
+      lifted[lane] = to_trits(tests[lane]);
+      max_len = std::max<std::size_t>(max_len, len);
+    }
+    PackedTernarySimulator packed(n, lanes);
+    packed.set_state_broadcast(to_trits(state));
+    PackedTrits cycle_inputs(width, lanes);
+    std::vector<BitsSeq> got(lanes);
+    for (std::size_t t = 0; t < max_len; ++t) {
+      pack_cycle_inputs(lifted, 0, lanes, t, Trit::kZero, &cycle_inputs);
+      packed.step_packed(cycle_inputs);
+      for (unsigned lane = 0; lane < lanes; ++lane) {
+        if (t >= tests[lane].size()) continue;
+        Trits out(packed.num_outputs());
+        for (unsigned o = 0; o < packed.num_outputs(); ++o) {
+          out[o] = packed.output_trit(o, lane);
+        }
+        Bits bits;
+        ASSERT_TRUE(try_lower_to_bits(out, bits)) << "lane " << lane;
+        got[lane].push_back(std::move(bits));
       }
     }
-    const std::vector<BitsSeq> got = BinarySimulator::run_batch(n, state, tests);
-    ASSERT_EQ(got.size(), tests.size());
     for (unsigned lane = 0; lane < lanes; ++lane) {
       BinarySimulator scalar(n);
       scalar.set_state(state);
@@ -356,10 +382,10 @@ TEST(PackedSim, ClsRunBatchStaticEntryMatchesScalar) {
   for (TritsSeq& seq : tests) {
     for (unsigned t = 0; t < 5; ++t) seq.push_back(random_trits(1, rng));
   }
-  const std::vector<TritsSeq> got = ClsSimulator::run_batch(n, tests);
+  const PackedResponses got = packed_cls_responses(n, tests);
   for (unsigned lane = 0; lane < tests.size(); ++lane) {
     ClsSimulator scalar(n);
-    EXPECT_EQ(got[lane], scalar.run(tests[lane]));
+    EXPECT_EQ(got.sequence(lane), scalar.run(tests[lane]));
   }
 }
 

@@ -2,7 +2,7 @@
 //  * CLS monotonicity in the information order (more definite inputs can
 //    only make outputs more definite) — the semantic backbone of Section 5;
 //  * CLS conservativeness w.r.t. the exact simulator;
-//  * simulator/STG/parallel-simulator agreement;
+//  * simulator/STG/packed-simulator agreement on definite values;
 //  * .rnl round-trip fidelity on random designs.
 
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include "sim/binary_sim.hpp"
 #include "sim/cls_sim.hpp"
 #include "sim/exact_sim.hpp"
-#include "sim/parallel_sim.hpp"
+#include "sim/packed_sim.hpp"
 #include "stg/stg.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -99,14 +99,14 @@ TEST_P(CircuitProperty, BinaryParallelAndStgAgree) {
   if (n.num_latches() > 10) GTEST_SKIP() << "STG capacity";
   const Stg stg = Stg::extract(n);
   BinarySimulator sim(n);
-  ParallelBinarySimulator psim(n, 8);
+  PackedTernarySimulator psim(n, 8);
   Rng rng(GetParam().seed ^ 0x1234);
   std::uint32_t stg_state =
       static_cast<std::uint32_t>(rng.below(stg.num_states()));
   sim.set_state(unpack_bits(stg_state, static_cast<unsigned>(n.num_latches())));
   for (unsigned l = 0; l < psim.num_latches(); ++l) {
     for (unsigned lane = 0; lane < 8; ++lane) {
-      psim.set_state_bit(l, lane, get_bit(stg_state, l));
+      psim.set_state_trit(l, lane, to_trit(get_bit(stg_state, l)));
     }
   }
   for (int t = 0; t < 16; ++t) {
@@ -116,10 +116,10 @@ TEST_P(CircuitProperty, BinaryParallelAndStgAgree) {
     const std::uint64_t expected_out = stg.output(stg_state, symbol);
     stg_state = stg.next_state(stg_state, symbol);
     const Bits out = sim.step(in);
-    psim.step_broadcast(in);
+    psim.step_broadcast(to_trits(in));
     EXPECT_EQ(pack_bits(out), expected_out);
     for (unsigned o = 0; o < psim.num_outputs(); ++o) {
-      EXPECT_EQ(psim.output_bit(o, 3), out[o] != 0);
+      EXPECT_EQ(psim.output_trit(o, 3), to_trit(out[o] != 0));
     }
   }
 }

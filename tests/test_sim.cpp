@@ -5,7 +5,7 @@
 #include "sim/binary_sim.hpp"
 #include "sim/cls_sim.hpp"
 #include "sim/exact_sim.hpp"
-#include "sim/parallel_sim.hpp"
+#include "sim/packed_sim.hpp"
 #include "test_helpers.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -161,23 +161,43 @@ TEST(ClsSim, StartsAllX) {
 }
 
 TEST(ClsSim, DefiniteInputsOnDefiniteStateMatchBinary) {
+  // BinarySimulator is a view of ClsSimulator, so the independent Boolean
+  // reference here is the packed engine on definite lanes: one lane per
+  // random non-zero power-up state, table cells included.
   Rng rng(33);
   RandomCircuitOptions opt;
   opt.num_inputs = 3;
   opt.num_latches = 3;
   opt.num_gates = 30;
+  opt.table_probability = 0.3;
+  const unsigned lanes = 4;
   for (int trial = 0; trial < 5; ++trial) {
     const Netlist n = random_netlist(opt, rng);
-    BinarySimulator bsim(n);
-    ClsSimulator tsim(n);
-    Bits state(bsim.num_latches());
-    for (auto& v : state) v = rng.coin();
-    bsim.set_state(state);
-    tsim.set_state(to_trits(state));
+    PackedTernarySimulator psim(n, lanes);
+    std::vector<ClsSimulator> tsims;
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+      Bits state(psim.num_latches());
+      do {
+        for (auto& v : state) v = rng.coin();
+      } while (!state.empty() && pack_bits(state) == 0);
+      for (unsigned l = 0; l < psim.num_latches(); ++l) {
+        psim.set_state_trit(l, lane, to_trit(state[l] != 0));
+      }
+      tsims.emplace_back(n);
+      tsims.back().set_state(to_trits(state));
+    }
     for (int step = 0; step < 20; ++step) {
-      Bits in(bsim.num_inputs());
+      Bits in(psim.num_inputs());
       for (auto& v : in) v = rng.coin();
-      EXPECT_EQ(to_trits(bsim.step(in)), tsim.step(in));
+      psim.step_broadcast(to_trits(in));
+      for (unsigned lane = 0; lane < lanes; ++lane) {
+        const Trits want = tsims[lane].step(in);
+        Bits lowered;
+        ASSERT_TRUE(try_lower_to_bits(want, lowered));
+        for (unsigned o = 0; o < psim.num_outputs(); ++o) {
+          EXPECT_EQ(psim.output_trit(o, lane), want[o]);
+        }
+      }
     }
   }
 }
@@ -307,6 +327,9 @@ TEST(ExactSim, CapacityGuard) {
                InvalidArgument);
 }
 
+// ParallelSim: the packed ternary engine on definite lanes is the
+// bit-parallel Boolean simulator.
+
 TEST(ParallelSim, MatchesSerialAcrossLanes) {
   Rng rng(88);
   RandomCircuitOptions opt;
@@ -317,14 +340,14 @@ TEST(ParallelSim, MatchesSerialAcrossLanes) {
   const Netlist n = random_netlist(opt, rng);
 
   const unsigned lanes = 100;
-  ParallelBinarySimulator psim(n, lanes);
+  PackedTernarySimulator psim(n, lanes);
   std::vector<BinarySimulator> serial;
   std::vector<Bits> states(lanes);
   for (unsigned lane = 0; lane < lanes; ++lane) {
     states[lane].resize(psim.num_latches());
     for (auto& v : states[lane]) v = rng.coin();
     for (unsigned l = 0; l < psim.num_latches(); ++l) {
-      psim.set_state_bit(l, lane, states[lane][l] != 0);
+      psim.set_state_trit(l, lane, to_trit(states[lane][l] != 0));
     }
     serial.emplace_back(n);
     serial.back().set_state(states[lane]);
@@ -332,40 +355,40 @@ TEST(ParallelSim, MatchesSerialAcrossLanes) {
   for (int step = 0; step < 8; ++step) {
     Bits in(psim.num_inputs());
     for (auto& v : in) v = rng.coin();
-    psim.step_broadcast(in);
+    psim.step_broadcast(to_trits(in));
     for (unsigned lane = 0; lane < lanes; ++lane) {
       const Bits expected = serial[lane].step(in);
       for (unsigned o = 0; o < psim.num_outputs(); ++o) {
-        EXPECT_EQ(psim.output_bit(o, lane), expected[o] != 0);
+        EXPECT_EQ(psim.output_trit(o, lane), to_trit(expected[o] != 0));
       }
-      EXPECT_EQ(psim.state_lane(lane), serial[lane].state());
+      EXPECT_EQ(psim.state_lane(lane), to_trits(serial[lane].state()));
     }
   }
 }
 
 TEST(ParallelSim, PackedInputsPerLane) {
   const Netlist n = and2_circuit();
-  ParallelBinarySimulator sim(n, 4);
+  PackedTernarySimulator sim(n, 4);
   // Lane l gets inputs (a, b) = bits of l.
-  std::vector<std::uint64_t> packed(2, 0);
+  PackedTrits packed(2, 4);
   for (unsigned lane = 0; lane < 4; ++lane) {
-    if (get_bit(lane, 0)) packed[0] |= 1ULL << lane;
-    if (get_bit(lane, 1)) packed[1] |= 1ULL << lane;
+    packed.set(0, lane, to_trit(get_bit(lane, 0)));
+    packed.set(1, lane, to_trit(get_bit(lane, 1)));
   }
   sim.step_packed(packed);
-  EXPECT_FALSE(sim.output_bit(0, 0));
-  EXPECT_FALSE(sim.output_bit(0, 1));
-  EXPECT_FALSE(sim.output_bit(0, 2));
-  EXPECT_TRUE(sim.output_bit(0, 3));
+  EXPECT_EQ(sim.output_trit(0, 0), kT0);
+  EXPECT_EQ(sim.output_trit(0, 1), kT0);
+  EXPECT_EQ(sim.output_trit(0, 2), kT0);
+  EXPECT_EQ(sim.output_trit(0, 3), kT1);
 }
 
 TEST(ParallelSim, BroadcastState) {
   const Netlist n = toggle_circuit();
-  ParallelBinarySimulator sim(n, 70);  // spans two words
-  sim.set_state_broadcast(bits_from_string("1"));
-  sim.step_broadcast(bits_from_string("0"));
+  PackedTernarySimulator sim(n, 70);  // spans two words
+  sim.set_state_broadcast(trits_from_string("1"));
+  sim.step_broadcast(trits_from_string("0"));
   for (unsigned lane = 0; lane < 70; ++lane) {
-    EXPECT_TRUE(sim.output_bit(0, lane));
+    EXPECT_EQ(sim.output_trit(0, lane), kT1);
   }
 }
 

@@ -105,6 +105,12 @@ check(job_option_flags 0 ""
 check(job_option_bad_value 2 "option \"backend\" must be"
       cls-equiv "${toggle}" "${toggle}" --backend=quantum)
 check(validate_default_objective 0 "" validate "${toggle}" --backend sat)
+# simulate defaults to mode cls, as on the wire: a power-up state needs
+# --mode binary.
+check(simulate_default_cls 2 "only valid in binary mode"
+      simulate "${toggle}" --inputs 1.0 --state 0)
+check(simulate_binary_state 0 ""
+      simulate "${toggle}" --inputs 1.0 --mode binary --state 0)
 check(lint_plan_missing 6 "io error: cannot open"
       lint "${toggle}" --plan "${RTV_FIXTURES}/no_such_plan.json")
 check(lint_plan 0 "" lint "${toggle}" --plan "${RTV_FIXTURES}/toggle_plan.json")
@@ -122,6 +128,17 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 120)
 if(NOT out MATCHES "\"plan\":{\"analyzable\":")
   message(SEND_ERROR "lint --plan --json carries no plan verdict: ${out}")
+  math(EXPR failures "${failures} + 1")
+endif()
+
+# A pair the static backend cannot decide is reported undecided (exit 1),
+# never as equivalent or distinguishable.
+set(shift3 "${RTV_FIXTURES}/../../examples/shift3.rnl")
+execute_process(
+  COMMAND "${RTV_BIN}" cls-equiv "${shift3}" "${shift3}" --backend static
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 120)
+if(NOT rc EQUAL 1 OR NOT out MATCHES "^CLS-UNDECIDED \\(inconclusive")
+  message(SEND_ERROR "static backend did not report undecided (exit ${rc}): ${out}")
   math(EXPR failures "${failures} + 1")
 endif()
 

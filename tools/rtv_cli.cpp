@@ -86,9 +86,9 @@ enum ExitCode : int {
                "  rtv simulate <design> --inputs SEQ[,SEQ...]"
                " [--mode binary|cls] [--cls]\n"
                "               [--state BITS] [--vcd FILE]\n"
-               "      one response per sequence (default binary mode;"
-               " --vcd writes\n"
-               "      the first sequence's waveform)\n"
+               "      one response per sequence (default cls mode, from the\n"
+               "      all-X power-up; --vcd writes the first sequence's"
+               " waveform)\n"
                "  rtv retime <design> (--min-area | --min-period | --period N)"
                " [-o OUT]\n"
                "  rtv validate <design> [--min-area (default) | --min-period]\n"
@@ -538,12 +538,8 @@ int cmd_simulate(const Args& args) {
     usage("simulate needs one design and --inputs");
   }
   const Netlist n = load_design(args.positional[0]);
-  JsonValue::Object options = args.options;
-  // The CLI simulates definite values unless asked for the CLS view.
-  if (find_option_value(options, "mode") == nullptr) {
-    set_option(&options, "mode", JsonValue(std::string("binary")));
-  }
-  const JobOutput out = run_design_job(JobType::kSimulate, args, options, n);
+  const JobOutput out =
+      run_design_job(JobType::kSimulate, args, args.options, n);
   if (args.vcd) {
     const std::string& list = inputs->as_string();
     const std::string first = list.substr(0, list.find(','));
@@ -551,7 +547,7 @@ int cmd_simulate(const Args& args) {
       save_vcd(cls_simulate_to_vcd(n, trits_seq_from_string(first)),
                *args.vcd);
     } else {
-      const JsonValue* state = find_option_value(options, "state");
+      const JsonValue* state = find_option_value(args.options, "state");
       save_vcd(simulate_to_vcd(n,
                                state != nullptr
                                    ? bits_from_string(state->as_string())
