@@ -10,6 +10,7 @@
 #include "core/safety.hpp"
 #include "gen/paper_circuits.hpp"
 #include "gen/random_circuits.hpp"
+#include "gen/shift.hpp"
 #include "retime/min_area.hpp"
 #include "retime/min_period.hpp"
 #include "sim/cls_sim.hpp"
@@ -125,6 +126,37 @@ void BM_ValidateRetimingFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValidateRetimingFull);
+
+/// The explicit engine's exhaustive pair BFS on `n` against its min-area
+/// retiming (the query `rtv validate` makes when no static proof applies).
+void pair_bfs_against_min_area(benchmark::State& state, const Netlist& n) {
+  const RetimeGraph g = RetimeGraph::from_netlist(n);
+  SequencedRetiming seq;
+  analyze_lag_retiming(n, g, min_area_retime(g).lag, &seq);
+  ClsEquivalenceResult r;
+  for (auto _ : state) {
+    r = check_cls_equivalence(n, seq.retimed);
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["pairs"] = static_cast<double>(r.pairs_explored);
+  state.counters["proven"] = r.verdict == Verdict::kProven ? 1 : 0;
+}
+
+void BM_PairBfsShift8MinArea(benchmark::State& state) {
+  pair_bfs_against_min_area(state, shift_register(8));
+}
+BENCHMARK(BM_PairBfsShift8MinArea)->Unit(benchmark::kMillisecond);
+
+void BM_PairBfsRandom90MinArea(benchmark::State& state) {
+  // The verdict benchmark's rand90_s1 design: 90 primitive gates, 8
+  // leading latches, seed 1.
+  RandomCircuitOptions opt;
+  opt.num_gates = 90;
+  opt.num_latches = 8;
+  Rng rng(1);
+  pair_bfs_against_min_area(state, random_netlist(opt, rng));
+}
+BENCHMARK(BM_PairBfsRandom90MinArea)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rtv

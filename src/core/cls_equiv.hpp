@@ -10,9 +10,15 @@
 //    asserting output equality. The reachable pair set is finite, so a
 //    completed search is a proof of CLS equivalence for this pair of
 //    designs (the executable form of the paper's relation R argument).
+//    The (pair, input) successors are evaluated 256 to a packed step of
+//    the 64-lane ternary simulator (sim/packed_sim.hpp) and then visited
+//    one by one in BFS order, so verdicts, counterexamples, pair counts
+//    and budget checkpoints are those of a one-successor-at-a-time search.
 //
 //  * bounded mode — randomized ternary input sequences, for designs whose
-//    input count or state space makes the BFS infeasible.
+//    input count or state space makes the BFS infeasible, simulated 64
+//    sequences per word. pairs_explored then counts sampled (sequence,
+//    cycle) steps, not state pairs.
 
 #include <optional>
 #include <string>
@@ -88,7 +94,14 @@ struct ClsEquivalenceResult {
   Verdict verdict = Verdict::kBounded;
   /// Distinguishing ternary input sequence when !equivalent.
   std::optional<TritsSeq> counterexample;
+  /// Distinct state pairs the BFS reached; in bounded mode, the sampled
+  /// (sequence, cycle) steps, sampled_sequences × sampled_cycles.
   std::size_t pairs_explored = 0;
+  /// Bounded mode only: random input sequences simulated side by side, and
+  /// cycles each ran before a difference or the budget stopped it (0 for
+  /// every other mode).
+  unsigned sampled_sequences = 0;
+  unsigned sampled_cycles = 0;
   /// Resource consumption snapshot (all-zero when run without a budget).
   ResourceUsage usage;
   /// Which engine produced this verdict (kExplicit for the legacy entry

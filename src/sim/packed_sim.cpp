@@ -63,6 +63,11 @@ Trits PackedTernarySimulator::state_lane(unsigned lane) const {
   return out;
 }
 
+TritWord* PackedTernarySimulator::state_words(unsigned latch) {
+  RTV_REQUIRE(latch < num_latches(), "latch index out of range");
+  return &state_[static_cast<std::size_t>(latch) * words_];
+}
+
 void PackedTernarySimulator::step_broadcast(const Trits& inputs) {
   RTV_REQUIRE(inputs.size() == num_inputs(), "input vector size mismatch");
   for (unsigned i = 0; i < num_inputs(); ++i) {

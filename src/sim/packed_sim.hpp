@@ -47,6 +47,11 @@ class PackedTernarySimulator {
   /// Reads back one lane's full latch state.
   Trits state_lane(unsigned lane) const;
 
+  /// Packed planes of latch `latch` (words() entries): the state the next
+  /// step reads and, after it, the state it latched. Writable, so a caller
+  /// can load a different state into every lane a whole word at a time.
+  TritWord* state_words(unsigned latch);
+
   /// One clock cycle with the same ternary input vector on every lane.
   void step_broadcast(const Trits& inputs);
 

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/safety.hpp"
@@ -18,8 +21,11 @@
 #include "io/rnl_format.hpp"
 #include "retime/apply.hpp"
 #include "retime/graph.hpp"
+#include "retime/min_area.hpp"
 #include "retime/min_period.hpp"
+#include "sim/cls_sim.hpp"
 #include "test_helpers.hpp"
+#include "util/bits.hpp"
 #include "util/fault_inject.hpp"
 #include "util/rng.hpp"
 
@@ -300,6 +306,326 @@ TEST(BackendCrosscheckFaultSweep, PortfolioIsNotPoisonedByTrippedEngines) {
     fault_inject::disarm();
     expect_degraded_honestly(r, trip);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Explicit-engine parity: the packed pair BFS and the bounded sampler
+// against scalar references built on ClsSimulator.
+// ---------------------------------------------------------------------------
+
+struct PairKey {
+  std::uint64_t a, b;
+  bool operator==(const PairKey&) const = default;
+};
+struct PairKeyHash {
+  std::size_t operator()(const PairKey& k) const {
+    return static_cast<std::size_t>(k.a * 0x9e3779b97f4a7c15ULL ^ k.b);
+  }
+};
+
+/// The one-successor-at-a-time pair BFS the packed engine must reproduce:
+/// pairs popped FIFO from (all-X, all-X), each pair's 3^I input vectors
+/// tried in base-3 order with one ClsSimulator::eval per design, the
+/// budget probed at the same successors. The engine must match it field
+/// for field, so any change to the successor order shows up here.
+ClsEquivalenceResult reference_pair_bfs(const Netlist& a, const Netlist& b,
+                                        const ClsEquivOptions& options,
+                                        ResourceBudget* budget) {
+  const unsigned width = static_cast<unsigned>(a.primary_inputs().size());
+  const unsigned la = static_cast<unsigned>(a.latches().size());
+  const unsigned lb = static_cast<unsigned>(b.latches().size());
+  const std::uint64_t branching = pow3_saturating(width);
+  ClsEquivOptions sampled = options;
+  sampled.max_branching = 0;  // routes check_cls_equivalence to sampling
+  if (width > 12 || la > 40 || lb > 40 || branching > options.max_branching) {
+    return check_cls_equivalence(a, b, sampled, budget);
+  }
+  struct Entry {
+    Trits state_a, state_b;
+    TritsSeq path;
+  };
+  std::unordered_set<PairKey, PairKeyHash> visited;
+  std::deque<Entry> queue;
+  queue.push_back({Trits(la, Trit::kX), Trits(lb, Trit::kX), {}});
+  visited.insert({pack_trits(queue.front().state_a),
+                  pack_trits(queue.front().state_b)});
+
+  ClsEquivalenceResult r;
+  r.equivalent = true;
+  r.exhaustive = true;
+  r.verdict = Verdict::kProven;
+  const auto finish = [&](std::string reason) {
+    r.pairs_explored = visited.size();
+    if (budget != nullptr) r.usage = budget->usage();
+    r.decided_reason = std::move(reason);
+    return r;
+  };
+  const auto exhausted = [&] {
+    r.exhaustive = false;
+    r.verdict = Verdict::kExhausted;
+    return finish("budget exhausted mid-search");
+  };
+  const ClsSimulator sa(a), sb(b);
+  Trits out_a, out_b, next_a, next_b;
+  while (!queue.empty()) {
+    if (budget != nullptr && !budget->checkpoint("cls/bfs-pair")) {
+      return exhausted();
+    }
+    const Entry entry = std::move(queue.front());
+    queue.pop_front();
+    for (std::uint64_t i = 0; i < branching; ++i) {
+      if (budget != nullptr && (i & 1023u) == 1023u &&
+          !budget->checkpoint("cls/bfs-input")) {
+        return exhausted();
+      }
+      const Trits in = unpack_trits(i, width);
+      sa.eval(entry.state_a, in, out_a, next_a);
+      sb.eval(entry.state_b, in, out_b, next_b);
+      if (out_a != out_b) {
+        r.equivalent = false;
+        r.counterexample = entry.path;
+        r.counterexample->push_back(in);
+        return finish("pair BFS found a counterexample after " +
+                      std::to_string(visited.size()) + " state pairs");
+      }
+      const PairKey key{pack_trits(next_a), pack_trits(next_b)};
+      if (visited.contains(key)) continue;
+      if (visited.size() >= options.max_pairs) {
+        return check_cls_equivalence(a, b, sampled, budget);
+      }
+      visited.insert(key);
+      if (budget != nullptr && !budget->note_pairs(visited.size())) {
+        return exhausted();
+      }
+      queue.push_back({next_a, next_b, entry.path});
+      queue.back().path.push_back(in);
+    }
+  }
+  return finish("pair-reachability BFS completed (" +
+                std::to_string(visited.size()) + " state pairs)");
+}
+
+/// Scalar replay of bounded mode: the same Rng draws in the same order
+/// (sequence, cycle, input), every sequence on its own ClsSimulator pair,
+/// and a difference reported at the earliest cycle, then the lowest
+/// output, then the lowest sequence — the order the packed sampler scans.
+ClsEquivalenceResult reference_bounded(const Netlist& a, const Netlist& b,
+                                       const ClsEquivOptions& options) {
+  const unsigned width = static_cast<unsigned>(a.primary_inputs().size());
+  const unsigned lanes = options.random_sequences;
+  const unsigned length = options.random_length;
+  Rng rng(options.seed);
+  std::vector<TritsSeq> seqs(lanes, TritsSeq(length, Trits(width)));
+  for (TritsSeq& seq : seqs) {
+    for (Trits& in : seq) {
+      for (Trit& v : in) v = static_cast<Trit>(rng.below(3));
+    }
+  }
+  std::vector<ClsSimulator> sa, sb;
+  for (unsigned s = 0; s < lanes; ++s) {
+    sa.emplace_back(a);
+    sb.emplace_back(b);
+  }
+  ClsEquivalenceResult r;
+  r.equivalent = true;
+  r.verdict = Verdict::kBounded;
+  r.sampled_sequences = lanes;
+  std::vector<Trits> out_a(lanes), out_b(lanes);
+  for (unsigned t = 0; t < length; ++t) {
+    for (unsigned s = 0; s < lanes; ++s) {
+      out_a[s] = sa[s].step(seqs[s][t]);
+      out_b[s] = sb[s].step(seqs[s][t]);
+    }
+    r.sampled_cycles = t + 1;
+    r.pairs_explored = static_cast<std::size_t>(lanes) * (t + 1);
+    for (std::size_t o = 0; o < a.primary_outputs().size(); ++o) {
+      for (unsigned s = 0; s < lanes; ++s) {
+        if (out_a[s][o] == out_b[s][o]) continue;
+        r.equivalent = false;
+        r.counterexample = TritsSeq(seqs[s].begin(), seqs[s].begin() + t + 1);
+        return r;
+      }
+    }
+  }
+  return r;
+}
+
+/// Swaps the kind of the first primitive gate in the .rnl text (and<->or,
+/// nand<->nor, xor<->xnor, not<->buf): the same structure, usually a
+/// different function. Returns the design unchanged when it has no such
+/// gate.
+Netlist swap_first_gate_kind(const Netlist& n) {
+  static const std::pair<std::string, std::string> kSwaps[] = {
+      {"and", "or"}, {"or", "and"},   {"nand", "nor"}, {"nor", "nand"},
+      {"xor", "xnor"}, {"xnor", "xor"}, {"not", "buf"}, {"buf", "not"}};
+  std::istringstream in(write_rnl(n));
+  std::ostringstream out;
+  std::string line;
+  bool swapped = false;
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::string tag, name, kind, rest;
+    words >> tag >> name >> kind;
+    std::getline(words, rest);
+    for (const auto& [from, to] : kSwaps) {
+      if (swapped || tag != "node" || kind != from) continue;
+      line = tag + " " + name + " " + to + rest;
+      swapped = true;
+      break;
+    }
+    out << line << '\n';
+  }
+  return read_rnl(out.str());
+}
+
+/// A seeded random design of exactly `width` primary inputs (width 0: the
+/// generator's one input becomes a constant cell).
+Netlist random_design(unsigned width, unsigned latches, bool tables,
+                      Rng& rng) {
+  RandomCircuitOptions opt;
+  opt.num_inputs = std::max(width, 1u);
+  opt.num_outputs = 2;
+  opt.num_gates = 3 + static_cast<unsigned>(rng.below(7));
+  opt.num_latches = latches;
+  opt.latch_after_gate_probability = 0.0;
+  opt.table_probability = tables ? 0.3 : 0.0;
+  const Netlist n = random_netlist(opt, rng);
+  if (width > 0) return n;
+  std::string text = write_rnl(n);
+  const std::string input = "node pi0 input";
+  text.replace(text.find(input), input.size(),
+               rng.coin() ? "node pi0 const1" : "node pi0 const0");
+  return read_rnl(text);
+}
+
+/// A random legal retiming of `a`; with `mutate`, the same retiming of
+/// a's one-gate mutant, so the pair is usually distinguishable, and only
+/// after the retimed latches fill up.
+Netlist retimed_or_mutated(const Netlist& a, bool mutate, Rng& rng) {
+  const RetimeGraph g = RetimeGraph::from_netlist(a);
+  const std::vector<int> lag = random_legal_lag(g, rng, 20);
+  const Netlist source = mutate ? swap_first_gate_kind(a) : a;
+  SequencedRetiming seq;
+  analyze_lag_retiming(source, RetimeGraph::from_netlist(source), lag, &seq);
+  return seq.retimed;
+}
+
+void expect_same_result(const ClsEquivalenceResult& got,
+                        const ClsEquivalenceResult& want) {
+  EXPECT_EQ(got.equivalent, want.equivalent) << got.summary();
+  EXPECT_EQ(got.verdict, want.verdict) << got.summary();
+  EXPECT_EQ(got.exhaustive, want.exhaustive) << got.summary();
+  EXPECT_EQ(got.pairs_explored, want.pairs_explored) << got.summary();
+  EXPECT_EQ(got.counterexample, want.counterexample) << got.summary();
+  EXPECT_EQ(got.usage.steps, want.usage.steps) << got.summary();
+}
+
+TEST(ExplicitParity, PackedPairBfsMatchesTheScalarReference) {
+  // Widths 0-6 (3^6 = 729 successors span several batches), 0-8 latches,
+  // table cells in a third of the designs, retimed and unrelated pairs;
+  // each searched to the end, under three step quotas, under a budget pair
+  // cap and with a max_pairs small enough to force the fallback to
+  // sampling. Every field must match, usage.steps included, so reordering
+  // the successors or the checkpoints fails here.
+  Rng rng(2024);
+  int cex = 0, proofs = 0, fallbacks = 0, exhausted = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const unsigned width = static_cast<unsigned>(trial % 7);
+    const unsigned latches = static_cast<unsigned>(rng.below(9));
+    const Netlist a = random_design(width, latches, trial % 3 == 0, rng);
+    const Netlist b = retimed_or_mutated(a, trial % 2 == 1, rng);
+
+    struct Variant {
+      std::string name;
+      ResourceLimits limits;
+      std::size_t max_pairs;
+      bool governed;
+    };
+    ResourceLimits pair_cap;
+    pair_cap.pair_limit = 5;
+    // Odd trials run under an unlimited budget, so whole searches compare
+    // their step counts too.
+    std::vector<Variant> variants = {
+        {"full search", {}, 20000, trial % 2 == 1},
+        {"pair_limit 5", pair_cap, 20000, true},
+        {"max_pairs 7", {}, 7, true}};
+    // Two fixed quotas and one random one, so the trip lands on every
+    // kind of checkpoint (pair, input, bounded cycle) across the sweep.
+    for (const std::uint64_t quota : {std::uint64_t{5}, std::uint64_t{40},
+                                      41 + rng.below(260)}) {
+      ResourceLimits l;
+      l.step_quota = quota;
+      variants.push_back({"step quota " + std::to_string(quota), l, 20000,
+                          true});
+    }
+    for (const Variant& v : variants) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " width " +
+                   std::to_string(width) + " " + v.name);
+      ClsEquivOptions opt;
+      opt.max_pairs = v.max_pairs;
+      opt.random_sequences = 16;
+      opt.random_length = 8;
+      ResourceBudget got_budget(v.limits), want_budget(v.limits);
+      const ClsEquivalenceResult got = check_cls_equivalence(
+          a, b, opt, v.governed ? &got_budget : nullptr);
+      const ClsEquivalenceResult want = reference_pair_bfs(
+          a, b, opt, v.governed ? &want_budget : nullptr);
+      expect_same_result(got, want);
+      EXPECT_EQ(got.decided_reason, want.decided_reason);
+      cex += got.counterexample.has_value() && got.verdict == Verdict::kProven;
+      proofs += got.equivalent && got.verdict == Verdict::kProven;
+      fallbacks += got.verdict == Verdict::kBounded;
+      exhausted += got.verdict == Verdict::kExhausted;
+    }
+  }
+  // The sweep must reach every outcome, or it checks less than it claims.
+  EXPECT_GT(cex, 50);
+  EXPECT_GT(proofs, 50);
+  EXPECT_GT(fallbacks, 50);
+  EXPECT_GT(exhausted, 50);
+}
+
+TEST(ExplicitParity, BoundedSamplingMatchesAScalarReplay) {
+  // 1, 63, 64, 65 and 200 sequences: one lane, a word less one, a whole
+  // word, a word plus a one-lane tail, several words. A slip in the tail
+  // mask or in the draw order changes which lane distinguishes first.
+  Rng rng(77);
+  int cex = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const Netlist a = random_design(3 + trial % 4, 4, trial % 3 == 0, rng);
+    const Netlist b = retimed_or_mutated(a, trial % 2 == 1, rng);
+    for (const unsigned lanes : {1u, 63u, 64u, 65u, 200u}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " lanes " +
+                   std::to_string(lanes));
+      ClsEquivOptions opt;
+      opt.max_branching = 0;
+      opt.random_sequences = lanes;
+      opt.random_length = 12;
+      opt.seed = 1000 + static_cast<std::uint64_t>(trial);
+      const ClsEquivalenceResult got = check_cls_equivalence(a, b, opt);
+      const ClsEquivalenceResult want = reference_bounded(a, b, opt);
+      expect_same_result(got, want);
+      EXPECT_EQ(got.sampled_sequences, want.sampled_sequences);
+      EXPECT_EQ(got.sampled_cycles, want.sampled_cycles);
+      cex += got.counterexample.has_value();
+    }
+  }
+  EXPECT_GT(cex, 10);
+}
+
+TEST(ExplicitParity, BoundedCounterexampleIsPinned) {
+  // The min-area retiming of pipelined_multiplier(4, 1) breaks Cor 5.3's
+  // premise (its constant cells are not justifiable), and with 80+
+  // latches the default options sample it. The sampled sequences, hence
+  // this counterexample, must not change with the sampler's layout.
+  const Netlist n = pipelined_multiplier(4, 1);
+  const RetimeGraph g = RetimeGraph::from_netlist(n);
+  const Netlist retimed = apply_retiming(n, g, min_area_retime(g).lag);
+  const ClsEquivalenceResult r = check_cls_equivalence(n, retimed);
+  ASSERT_FALSE(r.equivalent) << r.summary();
+  EXPECT_EQ(r.verdict, Verdict::kBounded);
+  ASSERT_TRUE(r.counterexample.has_value());
+  EXPECT_EQ(sequence_to_string(*r.counterexample), "011X1111");
 }
 
 }  // namespace
