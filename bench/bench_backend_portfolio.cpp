@@ -1,5 +1,6 @@
-// Backend matrix — per-backend time-to-verdict on the two cone shapes that
-// separate the engines, plus the portfolio contract:
+// Backend matrix — per-backend (explicit, BDD, SAT, portfolio)
+// time-to-verdict on the cone shapes that separate the engines, plus the
+// portfolio contract:
 //
 //  * bdd_friendly: a pipelined ripple-carry adder against its min-area
 //    retiming. The dual-rail encoding keeps narrow BDDs, so symbolic
@@ -10,10 +11,14 @@
 //    with a shallow definitive counterexample. Multiplication is the
 //    classic BDD killer: under a deliberately small node cap the BDD engine
 //    exhausts, while SAT answers definitively within the default budget.
+//  * narrow_random: a seeded 3-input, 60-gate random design against its
+//    min-period retiming. Its reachable state-pair set is small, so the
+//    portfolio's explicit stage proves it before the BDD/SAT race starts.
 //
 // The report asserts the engine-matrix contract before writing anything:
 // on multiplier_like the capped BDD run must exhaust AND the SAT run must
-// return a definitive (proven) verdict; on every workload the portfolio
+// return a definitive (proven) verdict; on narrow_random the explicit stage
+// must decide the portfolio run; on every workload the portfolio
 // must return a conclusive verdict and finish within 1.2x the best single
 // backend (plus a small absolute grace for thread-scheduling jitter on
 // sub-millisecond runs). The machine-readable BENCH_backend.json (path
@@ -34,9 +39,12 @@
 #include "core/safety.hpp"
 #include "core/verify.hpp"
 #include "gen/datapath.hpp"
+#include "gen/random_circuits.hpp"
 #include "retime/graph.hpp"
 #include "retime/min_area.hpp"
+#include "retime/min_period.hpp"
 #include "util/budget.hpp"
+#include "util/rng.hpp"
 
 namespace rtv {
 namespace {
@@ -95,8 +103,8 @@ Workload run_workload(const std::string& name, const Netlist& a,
   Workload w;
   w.name = name;
   for (const EquivalenceBackend backend :
-       {EquivalenceBackend::kBdd, EquivalenceBackend::kSat,
-        EquivalenceBackend::kPortfolio}) {
+       {EquivalenceBackend::kExplicit, EquivalenceBackend::kBdd,
+        EquivalenceBackend::kSat, EquivalenceBackend::kPortfolio}) {
     w.runs.push_back(run_engine(backend, a, b, base));
   }
   for (const EngineRun& r : w.runs) {
@@ -146,6 +154,21 @@ std::vector<Workload> run_report(bool smoke) {
     VerifyOptions base;
     base.bdd.node_limit = smoke ? 3000 : 20000;
     workloads.push_back(run_workload("multiplier_like", fine, coarse, base));
+  }
+
+  // Narrow random cone: few inputs and a small reachable pair set, which
+  // the portfolio's explicit stage decides on its own.
+  {
+    RandomCircuitOptions o;
+    o.num_gates = 60;
+    o.num_latches = 8;
+    Rng rng(3);
+    const Netlist n = random_netlist(o, rng);
+    const RetimeGraph g = RetimeGraph::from_netlist(n);
+    SequencedRetiming seq;
+    analyze_lag_retiming(n, g, min_period_retime_feas(g).lag, &seq);
+    workloads.push_back(
+        run_workload("narrow_random", n, seq.retimed, VerifyOptions{}));
   }
 
   return workloads;
@@ -264,8 +287,9 @@ void emit_bench_json(const std::vector<Workload>& workloads) {
 
 void report() {
   bench::heading("backend matrix / portfolio",
-                 "per-backend time-to-verdict on BDD-friendly vs "
-                 "multiplier-like cones; portfolio contract");
+                 "per-backend time-to-verdict on BDD-friendly, "
+                 "multiplier-like and narrow random cones; portfolio "
+                 "contract");
   const std::vector<Workload> workloads = run_report(smoke_mode());
 
   for (const Workload& w : workloads) {
@@ -297,7 +321,7 @@ void report() {
       std::exit(1);
     }
   }
-  const Workload& mult = workloads.back();
+  const Workload& mult = workloads[1];
   const EngineRun* bdd = find_run(mult, "bdd");
   const EngineRun* sat = find_run(mult, "sat");
   if (bdd == nullptr || bdd->verdict != std::string("exhausted")) {
@@ -314,9 +338,18 @@ void report() {
                  sat == nullptr ? "missing" : sat->verdict.c_str());
     std::exit(1);
   }
+  const EngineRun* staged = find_run(workloads[2], "portfolio");
+  if (staged == nullptr || staged->decided_by != std::string("explicit")) {
+    std::fprintf(stderr,
+                 "error: the explicit stage did not decide the portfolio run "
+                 "on narrow_random (decided by %s)\n",
+                 staged == nullptr ? "missing" : staged->decided_by.c_str());
+    std::exit(1);
+  }
   std::printf("\nengine-matrix contract holds: capped BDD exhausts on the "
-              "multiplier cone,\nSAT stays definitive, portfolio conclusive "
-              "within its bound on every workload\n");
+              "multiplier cone,\nSAT stays definitive, the explicit stage "
+              "decides the narrow cone, portfolio\nconclusive within its "
+              "bound on every workload\n");
   emit_bench_json(workloads);
 }
 

@@ -476,20 +476,23 @@ ClsEquivalenceResult explicit_engine(const Netlist& a, const Netlist& b,
   RTV_REQUIRE(a.primary_outputs().size() == b.primary_outputs().size(),
               "designs differ in primary output count");
 
-  const unsigned width = static_cast<unsigned>(a.primary_inputs().size());
-  const unsigned la = static_cast<unsigned>(a.latches().size());
-  const unsigned lb = static_cast<unsigned>(b.latches().size());
-  // pow3_saturating clamps to UINT64_MAX past 3^40, so a wide-input design
-  // can never wrap around the comparison and get routed into the
-  // exhaustive enumeration it could not possibly finish.
-  const std::uint64_t branching = pow3_saturating(width);
-  const bool can_exhaust = width <= 12 && la <= 40 && lb <= 40 &&
-                           branching <= options.max_branching;
-  if (!can_exhaust) return bounded_check(a, b, options, budget);
+  if (!pair_bfs_applies(a, b, options)) {
+    return bounded_check(a, b, options, budget);
+  }
   return PairBfs(a, b, options, budget).run();
 }
 
 }  // namespace
+
+bool pair_bfs_applies(const Netlist& a, const Netlist& b,
+                      const ClsEquivOptions& options) {
+  const std::size_t width = a.primary_inputs().size();
+  // pow3_saturating clamps to UINT64_MAX past 3^40, so a wide-input design
+  // can never wrap around the comparison and get routed into the
+  // exhaustive enumeration it could not possibly finish.
+  return width <= 12 && a.latches().size() <= 40 && b.latches().size() <= 40 &&
+         pow3_saturating(static_cast<unsigned>(width)) <= options.max_branching;
+}
 
 ClsEquivalenceResult check_cls_equivalence(const Netlist& a, const Netlist& b,
                                            const ClsEquivOptions& options,

@@ -39,8 +39,8 @@ namespace rtv {
 ///                 (bdd/cls_bdd.hpp);
 ///  * kSat       — CDCL BMC + k-induction over the unrolled miter AIG
 ///                 (sat/equiv.hpp);
-///  * kPortfolio — BDD and SAT raced on the same query with verdict
-///                 cross-checking;
+///  * kPortfolio — an explicit stage for narrow designs, then BDD and SAT
+///                 raced on the same query with verdict cross-checking;
 ///  * kStatic    — the ternary dataflow fixpoint (analysis/dataflow.hpp):
 ///                 a whole-design abstract-interpretation proof with no
 ///                 state-space search at all. Can prove equivalence but
@@ -130,6 +130,12 @@ struct ClsEquivalenceResult {
 ClsEquivalenceResult check_cls_equivalence(const Netlist& a, const Netlist& b,
                                            const ClsEquivOptions& options = {},
                                            ResourceBudget* budget = nullptr);
+
+/// True when check_cls_equivalence runs the exhaustive pair BFS on this
+/// pair under `options` (at most 40 latches per design and 3^inputs within
+/// max_branching) rather than sampling from the start.
+bool pair_bfs_applies(const Netlist& a, const Netlist& b,
+                      const ClsEquivOptions& options);
 
 /// Replays a ternary input sequence on both designs; true iff CLS outputs
 /// match cycle by cycle (sanity utility for counterexamples).

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "analysis/dataflow.hpp"
+#include "util/bits.hpp"
 
 namespace rtv {
 
@@ -76,11 +77,12 @@ ClsEquivalenceResult from_sat(const SatClsOutcome& outcome,
   return result;
 }
 
-/// Limits for one portfolio engine: the caller's caps minus what the parent
-/// budget has already consumed (each engine gets its own budget object and
-/// cancellation token, so one engine blowing its slice never flips the
-/// sibling's budget).
-ResourceLimits slice_limits(ResourceBudget* parent) {
+/// Limits for one portfolio phase: the caller's caps minus what the parent
+/// budget and the phases before it (`spent_steps`) have already consumed.
+/// Each phase gets its own budget object, so one exhausting its slice never
+/// flips the caller's budget or a sibling's.
+ResourceLimits slice_limits(ResourceBudget* parent,
+                            std::uint64_t spent_steps = 0) {
   if (parent == nullptr) return ResourceLimits{};
   ResourceLimits limits = parent->limits();
   if (limits.time_budget_ms != 0) {
@@ -90,22 +92,78 @@ ResourceLimits slice_limits(ResourceBudget* parent) {
         remaining > 1.0 ? static_cast<std::uint64_t>(remaining) : 1;
   }
   if (limits.step_quota != 0) {
-    const std::uint64_t used = parent->usage().steps;
+    const std::uint64_t used = parent->usage().steps + spent_steps;
     limits.step_quota = used < limits.step_quota ? limits.step_quota - used : 1;
   }
   return limits;
 }
 
+/// The portfolio's explicit stage runs only on designs of at most this many
+/// inputs (3^6 = 729 input vectors per state pair)...
+constexpr unsigned kStageMaxInputs = 6;
+/// ...and gives up after min(kStageMaxPairs, kStageSuccessors / 3^inputs)
+/// state pairs: about 2^17 (pair, input) successors, or 1-3 ms of packed
+/// BFS, and never more than 4096 pairs, so a one-input design with a large
+/// pair space (shift_register(12)) hands over to the race within 2 ms.
+constexpr std::size_t kStageMaxPairs = 4096;
+constexpr std::uint64_t kStageSuccessors = std::uint64_t{1} << 17;
+
+/// The explicit stage: the packed pair BFS (core/cls_equiv.hpp), run on the
+/// calling thread before any engine thread is spawned, within the allowance
+/// above. Narrow retimed pairs close here in about a millisecond, where
+/// SAT's k-induction takes tens. Returns nullopt when the design is not
+/// narrow or the search does not conclude, reporting what it spent in
+/// `spent` so the race can run on the rest of the budget. The stage budget
+/// shares the caller's cancellation token and deadline but is its own
+/// object, so running out of allowance never marks the caller exhausted.
+std::optional<ClsEquivalenceResult> try_explicit_stage(
+    const Netlist& a, const Netlist& b, const VerifyOptions& options,
+    ResourceBudget* budget, ResourceUsage* spent) {
+  const unsigned width = static_cast<unsigned>(a.primary_inputs().size());
+  if (width > kStageMaxInputs ||
+      !pair_bfs_applies(a, b, options.explicit_opts)) {
+    return std::nullopt;
+  }
+  ResourceLimits limits = slice_limits(budget);
+  const std::size_t allowance =
+      std::min<std::size_t>(kStageMaxPairs, kStageSuccessors / pow3(width));
+  limits.pair_limit = limits.pair_limit == 0
+                          ? allowance
+                          : std::min(limits.pair_limit, allowance);
+  ResourceBudget stage = ResourceBudget::with_deadline(
+      limits, budget != nullptr ? budget->cancel_token() : CancellationToken{},
+      budget != nullptr ? budget->deadline() : std::nullopt);
+  ClsEquivalenceResult result =
+      check_cls_equivalence(a, b, options.explicit_opts, &stage);
+  *spent = stage.usage();
+  if (result.verdict != Verdict::kProven) return std::nullopt;
+  result.decided_reason = "portfolio: explicit stage: " + result.decided_reason;
+  if (budget != nullptr) {
+    const ResourceUsage parent = budget->usage();
+    result.usage.wall_ms = parent.wall_ms;
+    result.usage.steps += parent.steps;
+    result.usage.peak_bdd_nodes = parent.peak_bdd_nodes;
+  }
+  return result;
+}
+
 ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,
                                    const VerifyOptions& options,
-                                   ResourceBudget* budget) {
+                                   ResourceBudget* budget,
+                                   const ResourceUsage& stage) {
   CancellationToken bdd_cancel, sat_cancel;
-  ResourceLimits bdd_limits = slice_limits(budget);
+  ResourceLimits bdd_limits = slice_limits(budget, stage.steps);
   bdd_limits.bdd_node_limit = options.bdd.node_limit < bdd_limits.bdd_node_limit
                                   ? options.bdd.node_limit
                                   : bdd_limits.bdd_node_limit;
   ResourceBudget bdd_budget(bdd_limits, bdd_cancel);
-  ResourceBudget sat_budget(slice_limits(budget), sat_cancel);
+  ResourceBudget sat_budget(slice_limits(budget, stage.steps), sat_cancel);
+  if (budget != nullptr && !budget->checkpoint("portfolio/start")) {
+    // The caller's budget is already gone (cancelled, past its deadline):
+    // both engines stop at their first checkpoint, and the report says so.
+    bdd_cancel.request_cancel();
+    sat_cancel.request_cancel();
+  }
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -184,13 +242,16 @@ ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,
     throw BackendDisagreement(os.str());
   }
 
-  // Merged usage across both slices (the engines ran concurrently, so the
-  // wall clock is the max, not the sum).
+  // Merged usage across the stage and both slices (the engines ran
+  // concurrently, after the stage, so the wall clock is the stage's plus
+  // the longer engine's).
   const ResourceUsage bdd_usage = bdd_budget.usage();
   const ResourceUsage sat_usage = sat_budget.usage();
   ResourceUsage merged;
-  merged.wall_ms = std::max(bdd_usage.wall_ms, sat_usage.wall_ms);
-  merged.steps = bdd_usage.steps + sat_usage.steps;
+  merged.wall_ms =
+      stage.wall_ms + std::max(bdd_usage.wall_ms, sat_usage.wall_ms);
+  merged.steps = stage.steps + bdd_usage.steps + sat_usage.steps;
+  merged.state_pairs = stage.state_pairs;
   merged.peak_bdd_nodes =
       std::max(bdd_usage.peak_bdd_nodes, sat_usage.peak_bdd_nodes);
   merged.bdd_gc_runs = bdd_usage.bdd_gc_runs + sat_usage.bdd_gc_runs;
@@ -235,7 +296,7 @@ ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,
     const ResourceUsage parent = budget->usage();
     merged.wall_ms = parent.wall_ms;
     merged.steps += parent.steps;
-    merged.state_pairs = parent.state_pairs;
+    merged.state_pairs = std::max(merged.state_pairs, parent.state_pairs);
     merged.peak_bdd_nodes =
         std::max(merged.peak_bdd_nodes, parent.peak_bdd_nodes);
     if (parent.exhausted) {
@@ -295,9 +356,16 @@ ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
     case EquivalenceBackend::kSat:
       result = from_sat(sat_cls_equivalence(a, b, options.sat, budget), budget);
       break;
-    case EquivalenceBackend::kPortfolio:
-      result = run_portfolio(a, b, options, budget);
+    case EquivalenceBackend::kPortfolio: {
+      ResourceUsage stage;
+      if (std::optional<ClsEquivalenceResult> staged =
+              try_explicit_stage(a, b, options, budget, &stage)) {
+        result = std::move(*staged);
+      } else {
+        result = run_portfolio(a, b, options, budget, stage);
+      }
       break;
+    }
     case EquivalenceBackend::kStatic:
       break;  // handled above; unreachable
   }

@@ -6,15 +6,20 @@
 // engine's sub-options; every result is a ClsEquivalenceResult stamped with
 // which backend decided (decided_by) and why (decided_reason).
 //
-// Portfolio mode races the BDD and SAT backends concurrently on the same
-// query, each under its own slice of the caller's budget (so one engine
-// exhausting its slice can never poison the other), cancels the loser as
-// soon as either produces a conclusive (kProven) answer, and — whenever
-// both engines conclude — cross-checks their verdicts: a disagreement
-// between two independent engines is a BackendDisagreement hard error,
-// surfaced loudly and never silently resolved. Counterexamples from every
-// backend are replay-validated against the concrete CLS simulators before
-// being returned.
+// Portfolio mode runs in stages: the static fixpoint, then an explicit
+// stage, then a race. The explicit stage gives narrow designs (at most 6
+// inputs, pair BFS eligible) the packed pair BFS on the calling thread,
+// within min(4096, 2^17 / 3^inputs) state pairs; a conclusive answer there
+// is returned stamped decided_by = kExplicit. Otherwise the BDD and SAT
+// backends are raced concurrently on the rest of the budget, each under
+// its own slice of it (so one engine exhausting its slice can never poison
+// the other); the loser is cancelled as soon as either produces a
+// conclusive (kProven) answer, and — whenever both engines conclude —
+// their verdicts are cross-checked: a disagreement between two independent
+// engines is a BackendDisagreement hard error, surfaced loudly and never
+// silently resolved. Counterexamples from every backend are
+// replay-validated against the concrete CLS simulators before being
+// returned.
 
 #include "bdd/cls_bdd.hpp"
 #include "core/cls_equiv.hpp"

@@ -15,8 +15,34 @@ const Node& Netlist::node_ref(NodeId id) const {
   return nodes_[id.value];
 }
 
+namespace {
+
+/// True for names of fresh_name's shape, <prefix>_<digits>: the only names
+/// a fresh name can repeat.
+bool has_fresh_shape(const std::string& name) {
+  const std::size_t last = name.find_last_not_of("0123456789");
+  return last != std::string::npos && last + 1 < name.size() &&
+         name[last] == '_';
+}
+
+}  // namespace
+
 std::string Netlist::fresh_name(const char* prefix) {
-  return std::string(prefix) + "_" + std::to_string(name_counter_++);
+  // Explicitly named nodes added since the last call (the first time, all
+  // of a parsed design's nodes) are checked here, not as they are added,
+  // so building a fully named netlist (read_rnl) never pays for it.
+  for (; names_seen_ < nodes_.size(); ++names_seen_) {
+    const std::string& taken = nodes_[names_seen_].name;
+    if (has_fresh_shape(taken)) taken_names_.insert(taken);
+  }
+  std::string name;
+  do {
+    name = std::string(prefix) + "_" + std::to_string(name_counter_++);
+  } while (!taken_names_.empty() && taken_names_.contains(name));
+  // Fresh names never repeat one another (the counter only grows), so the
+  // node new_node is about to append with this one is skipped.
+  names_seen_ = nodes_.size() + 1;
+  return name;
 }
 
 NodeId Netlist::new_node(CellKind kind, unsigned pins, unsigned ports,
@@ -264,6 +290,10 @@ bool Netlist::is_justifiable(NodeId id) const {
 }
 
 void Netlist::set_name(NodeId id, std::string name) {
+  // A node fresh_name has already seen keeps its old name taken too.
+  if (id.value < names_seen_ && has_fresh_shape(name)) {
+    taken_names_.insert(name);
+  }
   node_ref(id).name = std::move(name);
 }
 

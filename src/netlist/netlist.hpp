@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "netlist/cell.hpp"
@@ -268,6 +269,10 @@ class Netlist {
   std::vector<NodeId> outputs_;
   std::vector<NodeId> latches_;
   std::uint64_t name_counter_ = 0;
+  /// The names fresh_name must avoid: those of explicitly named nodes in
+  /// nodes_[0, names_seen_) that have its <prefix>_<digits> shape.
+  std::unordered_set<std::string> taken_names_;
+  std::size_t names_seen_ = 0;
 };
 
 /// Topological order of the live nodes for one-cycle evaluation: inputs,

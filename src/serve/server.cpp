@@ -56,6 +56,14 @@ class ScopeGuard {
   std::function<void()> rollback_;
 };
 
+/// ThreadPool participants for `threads` job workers. The pool's own
+/// calling thread never runs submit() tasks, so N >= 2 workers take N + 1
+/// participants; a single worker is the pool's inline serial mode.
+unsigned pool_participants(unsigned threads) {
+  const unsigned workers = ThreadPool::resolve_threads(threads);
+  return workers >= 2 ? workers + 1 : 1;
+}
+
 }  // namespace
 
 /// Serializes writes of one connection and lets its reader wait for every
@@ -90,10 +98,10 @@ struct Server::Connection {
 
 Server::Server(const ServeOptions& options)
     : options_(options),
-      pool_(options.threads),
+      pool_(pool_participants(options.threads)),
       cache_(options.cache_bytes),
       max_inflight_(options.max_inflight != 0 ? options.max_inflight
-                                              : pool_.size()),
+                                              : job_workers()),
       admission_queue_(options.admission_queue != 0 ? options.admission_queue
                                                     : 2 * max_inflight_),
       watchdog_grace_(std::max(1u, options.watchdog_grace)) {
@@ -621,7 +629,7 @@ ServeStats Server::stats() const {
   }
   s.max_inflight = max_inflight_;
   s.admission_queue = admission_queue_;
-  s.threads = pool_.size();
+  s.threads = job_workers();
   s.shutting_down = shutting_down();
   s.cache = cache_.stats();
   return s;

@@ -37,6 +37,7 @@
 // connections (serve/design_cache.hpp); a response's stats.cache_hit says
 // whether the job skipped the parse.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -56,10 +57,10 @@
 namespace rtv::serve {
 
 struct ServeOptions {
-  /// Job worker threads (ThreadPool size); 0 = one per hardware thread.
-  /// A size-1 pool runs jobs inline on the reader thread (serial mode).
+  /// Job worker threads; 0 = one per hardware thread. With 1, jobs run
+  /// inline on the reader thread (serial mode).
   unsigned threads = 0;
-  /// Max jobs running at once; 0 = the resolved pool size.
+  /// Max jobs running at once; 0 = the resolved job worker count.
   unsigned max_inflight = 0;
   /// Admission queue depth beyond the running slots; a job arriving with
   /// the queue full is shed with an "overloaded" envelope. 0 = twice the
@@ -112,7 +113,7 @@ struct ServeStats {
   unsigned quarantined = 0;    ///< wedged slots currently written off
   unsigned max_inflight = 0;
   unsigned admission_queue = 0;  ///< queue capacity
-  unsigned threads = 0;
+  unsigned threads = 0;          ///< job worker threads
   bool shutting_down = false;
   DesignCacheStats cache;
 };
@@ -223,6 +224,9 @@ class Server {
 
   void begin_shutdown();
   void serve_fd(int fd);
+
+  /// Threads that run jobs: every pool participant but the idle caller.
+  unsigned job_workers() const { return std::max(1u, pool_.size() - 1); }
 
   const ServeOptions options_;
   ThreadPool pool_;

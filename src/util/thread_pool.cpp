@@ -25,8 +25,12 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lk(mutex_);
     stopping_ = true;
   }
-  work_cv_.notify_all();
+  wake_all_workers();
   for (std::thread& t : workers_) t.join();
+}
+
+void ThreadPool::wake_all_workers() {
+  for (unsigned i = 1; i < size(); ++i) queues_[i]->wake.notify_one();
 }
 
 void ThreadPool::worker_main(unsigned self) {
@@ -35,10 +39,15 @@ void ThreadPool::worker_main(unsigned self) {
     bool in_job = false;
     {
       std::unique_lock<std::mutex> lk(mutex_);
-      work_cv_.wait(lk, [&] {
-        return stopping_ || generation_ != seen ||
-               tasks_pending_.load(std::memory_order_acquire) > 0;
-      });
+      while (!stopping_ && generation_ == seen &&
+             tasks_pending_.load(std::memory_order_acquire) == 0) {
+        // Sleep as the most recently idle worker: submit wakes from the
+        // back of idle_, so a lone stream of tasks stays on one thread.
+        idle_.push_back(self);
+        queues_[self]->wake.wait(lk);
+        const auto it = std::find(idle_.begin(), idle_.end(), self);
+        if (it != idle_.end()) idle_.erase(it);
+      }
       if (stopping_) return;
       if (generation_ != seen) {
         seen = generation_;
@@ -124,13 +133,19 @@ void ThreadPool::submit(std::function<void()> task) {
     q.tasks.push_back(std::move(task));
   }
   tasks_pending_.fetch_add(1, std::memory_order_release);
+  unsigned target = 0;
   {
     // Fence against the sleep path: a worker between its predicate check
-    // (which saw no pending tasks) and blocking still holds mutex_, so
-    // taking it here delays the notify until the worker can receive it.
+    // (which saw no pending tasks) and blocking still holds mutex_, so by
+    // the time this lock is taken it is asleep and listed in idle_. With
+    // no worker idle, a busy one drains the task when it finishes.
     std::lock_guard<std::mutex> lk(mutex_);
+    if (!idle_.empty()) {
+      target = idle_.back();
+      idle_.pop_back();
+    }
   }
-  work_cv_.notify_one();
+  if (target != 0) queues_[target]->wake.notify_one();
 }
 
 void ThreadPool::participate(unsigned self) {
@@ -189,7 +204,7 @@ void ThreadPool::parallel_for(
     std::lock_guard<std::mutex> lk(q.mutex);
     q.chunks.push_back(c);
   }
-  work_cv_.notify_all();
+  wake_all_workers();
   participate(0);
   std::exception_ptr error;
   {

@@ -18,6 +18,8 @@
 //   are popped/stolen by the same discipline as chunks. Workers drain
 //   tasks whenever no parallel_for job occupies them; the parallel_for
 //   caller never runs tasks, so a loop cannot block on an unrelated job.
+//   A task wakes the most recently idle worker, so a lone stream of tasks
+//   (one serve client at a time) keeps running on one warm thread.
 //
 // Guarantees and limits:
 //   - The set of chunks and their [begin, end) bounds are deterministic;
@@ -91,6 +93,7 @@ class ThreadPool {
     std::mutex mutex;
     std::deque<Chunk> chunks;
     std::deque<std::function<void()>> tasks;  ///< submit()-mode items
+    std::condition_variable wake;  ///< its worker sleeps here (on mutex_)
   };
 
   void worker_main(unsigned self);
@@ -98,6 +101,7 @@ class ThreadPool {
   bool pop_or_steal(unsigned self, Chunk* out);
   bool pop_or_steal_task(unsigned self, std::function<void()>* out);
   void drain_tasks(unsigned self);
+  void wake_all_workers();
 
   std::vector<std::unique_ptr<Queue>> queues_;  ///< one per participant
   std::vector<std::thread> workers_;
@@ -107,8 +111,8 @@ class ThreadPool {
   std::mutex job_mutex_;  ///< serializes parallel_for callers
 
   std::mutex mutex_;  ///< guards the fields below
-  std::condition_variable work_cv_;
   std::condition_variable done_cv_;
+  std::vector<unsigned> idle_;  ///< sleeping workers, most recent last
   const std::function<void(std::size_t, std::size_t)>* body_ = nullptr;
   std::uint64_t generation_ = 0;
   std::size_t remaining_ = 0;  ///< chunks of the current job not yet finished

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <deque>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/verify.hpp"
 #include "gen/datapath.hpp"
 #include "gen/random_circuits.hpp"
+#include "gen/shift.hpp"
 #include "io/rnl_format.hpp"
 #include "retime/apply.hpp"
 #include "retime/graph.hpp"
@@ -33,7 +35,9 @@ namespace rtv {
 namespace {
 
 using testing::inverter_pipeline;
+using testing::random_legal_lag;
 using testing::toggle_circuit;
+using testing::wide_pipeline;
 
 constexpr EquivalenceBackend kAllBackends[] = {
     EquivalenceBackend::kExplicit,
@@ -57,19 +61,6 @@ Netlist buffer_pipeline() {
   n.connect(PortRef(l1, 0), PinRef(out, 0));
   n.check_valid(true);
   return n;
-}
-
-std::vector<int> random_legal_lag(const RetimeGraph& g, Rng& rng,
-                                  int attempts = 40) {
-  std::vector<int> lag(g.num_vertices(), 0);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::vector<int> probe = lag;
-    const std::uint32_t v =
-        2 + static_cast<std::uint32_t>(rng.below(g.num_vertices() - 2));
-    probe[v] += rng.coin() ? 1 : -1;
-    if (g.legal_retiming(probe)) lag = probe;
-  }
-  return lag;
 }
 
 ClsEquivalenceResult run_backend(EquivalenceBackend backend, const Netlist& a,
@@ -201,26 +192,39 @@ TEST(BackendCrosscheck, AllBackendsFindReplayableCounterexamples) {
 }
 
 TEST(BackendCrosscheck, PortfolioStampsTheDecidingEngine) {
-  const Netlist n = toggle_circuit();
   VerifyOptions opt;
   opt.backend = EquivalenceBackend::kPortfolio;
-  // This test exists to exercise the race machinery; keep the static
-  // fixpoint proof from short-circuiting it.
+  // This test exists to exercise the stage and race machinery; keep the
+  // static fixpoint proof from short-circuiting it.
   opt.allow_static_proof = false;
-  const ClsEquivalenceResult r = verify_cls_equivalence(n, n, opt);
-  EXPECT_TRUE(r.equivalent);
-  EXPECT_EQ(r.verdict, Verdict::kProven);
-  EXPECT_TRUE(r.decided_by == EquivalenceBackend::kBdd ||
-              r.decided_by == EquivalenceBackend::kSat)
-      << to_string(r.decided_by);
-  EXPECT_NE(r.decided_reason.find("portfolio"), std::string::npos)
-      << r.decided_reason;
+
+  // One input: the explicit stage decides on the calling thread.
+  const Netlist narrow = toggle_circuit();
+  const ClsEquivalenceResult staged =
+      verify_cls_equivalence(narrow, narrow, opt);
+  EXPECT_TRUE(staged.equivalent);
+  EXPECT_EQ(staged.verdict, Verdict::kProven);
+  EXPECT_EQ(staged.decided_by, EquivalenceBackend::kExplicit);
+  EXPECT_EQ(staged.decided_reason.rfind("portfolio: ", 0), 0u)
+      << staged.decided_reason;
+
+  // Seven inputs: no stage, the race winner is stamped.
+  const Netlist wide = wide_pipeline();
+  const ClsEquivalenceResult raced = verify_cls_equivalence(wide, wide, opt);
+  EXPECT_TRUE(raced.equivalent);
+  EXPECT_EQ(raced.verdict, Verdict::kProven);
+  EXPECT_TRUE(raced.decided_by == EquivalenceBackend::kBdd ||
+              raced.decided_by == EquivalenceBackend::kSat)
+      << to_string(raced.decided_by);
+  EXPECT_EQ(raced.decided_reason.rfind("portfolio: ", 0), 0u)
+      << raced.decided_reason;
 }
 
 TEST(BackendCrosscheck, PortfolioUsageUnderABudgetCountsTheEngines) {
   // Under a caller budget the portfolio used to report that budget alone:
   // the babysitting loop's few checkpoints and none of the engines' work.
-  const Netlist n = toggle_circuit();
+  // A seven-input design, so the race (not the explicit stage) decides.
+  const Netlist n = wide_pipeline();
   VerifyOptions opt;
   opt.backend = EquivalenceBackend::kPortfolio;
   opt.allow_static_proof = false;
@@ -279,32 +283,37 @@ TEST(BackendCrosscheckFaultSweep, SatDegradesToBoundedOrExhausted) {
 }
 
 TEST(BackendCrosscheckFaultSweep, PortfolioIsNotPoisonedByTrippedEngines) {
-  // A fault tripping inside one (or both) portfolio engines must never
-  // crash the race, produce a verdict disagreement, or surface a bogus
-  // counterexample; the merged report stays honest. Static proof off: the
-  // sweep must reach the engines, not a fixpoint short-circuit.
-  const Netlist n = toggle_circuit();
-
-  fault_inject::arm(std::uint64_t{1} << 62);
-  {
-    ResourceBudget budget((ResourceLimits()));
-    const ClsEquivalenceResult r = run_backend(
-        EquivalenceBackend::kPortfolio, n, n, &budget, /*allow_static=*/false);
-    EXPECT_TRUE(r.equivalent) << r.summary();
-  }
-  const std::uint64_t total = fault_inject::checkpoints_passed();
-  fault_inject::disarm();
-  ASSERT_GT(total, 0u);
-
-  for (std::uint64_t trip = 1; trip <= total; ++trip) {
-    fault_inject::arm(trip);
-    ResourceBudget budget((ResourceLimits()));
-    ClsEquivalenceResult r;
-    ASSERT_NO_THROW(r = run_backend(EquivalenceBackend::kPortfolio, n, n,
-                                    &budget, /*allow_static=*/false))
-        << "injection at checkpoint " << trip;
+  // A fault tripping inside the explicit stage or one (or both) race
+  // engines must never crash the portfolio, produce a verdict
+  // disagreement, or surface a bogus counterexample; the merged report
+  // stays honest. Static proof off: the sweep must reach the stage and the
+  // engines, not a fixpoint short-circuit. The toggle is narrow enough for
+  // the stage (a trip there hands the query to the race); the seven-input
+  // pipeline goes straight to the race.
+  for (const Netlist& n : {toggle_circuit(), wide_pipeline()}) {
+    SCOPED_TRACE(std::to_string(n.primary_inputs().size()) + " inputs");
+    fault_inject::arm(std::uint64_t{1} << 62);
+    {
+      ResourceBudget budget((ResourceLimits()));
+      const ClsEquivalenceResult r =
+          run_backend(EquivalenceBackend::kPortfolio, n, n, &budget,
+                      /*allow_static=*/false);
+      EXPECT_TRUE(r.equivalent) << r.summary();
+    }
+    const std::uint64_t total = fault_inject::checkpoints_passed();
     fault_inject::disarm();
-    expect_degraded_honestly(r, trip);
+    ASSERT_GT(total, 0u);
+
+    for (std::uint64_t trip = 1; trip <= total; ++trip) {
+      fault_inject::arm(trip);
+      ResourceBudget budget((ResourceLimits()));
+      ClsEquivalenceResult r;
+      ASSERT_NO_THROW(r = run_backend(EquivalenceBackend::kPortfolio, n, n,
+                                      &budget, /*allow_static=*/false))
+          << "injection at checkpoint " << trip;
+      fault_inject::disarm();
+      expect_degraded_honestly(r, trip);
+    }
   }
 }
 
@@ -626,6 +635,112 @@ TEST(ExplicitParity, BoundedCounterexampleIsPinned) {
   EXPECT_EQ(r.verdict, Verdict::kBounded);
   ASSERT_TRUE(r.counterexample.has_value());
   EXPECT_EQ(sequence_to_string(*r.counterexample), "011X1111");
+}
+
+// ---------------------------------------------------------------------------
+// Staged portfolio: the explicit stage in front of the BDD/SAT race.
+// ---------------------------------------------------------------------------
+
+VerifyOptions portfolio_options() {
+  VerifyOptions opt;
+  opt.backend = EquivalenceBackend::kPortfolio;
+  opt.allow_static_proof = false;  // reach the stage, not the fixpoint
+  return opt;
+}
+
+TEST(StagedPortfolio, AgreesWithEveryEngineOnNarrowPairs) {
+  // 0-6 inputs and 0-8 latches, table cells in a third of the designs,
+  // retimed and single-gate-mutant pairs alternating. The portfolio must
+  // conclude, agree with the standalone explicit engine, and agree with
+  // SAT and BDD wherever they conclude; every counterexample must replay.
+  Rng rng(1616);
+  int staged = 0, distinguished = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const unsigned width = static_cast<unsigned>(trial % 7);
+    const unsigned latches = static_cast<unsigned>(rng.below(9));
+    const Netlist a = random_design(width, latches, trial % 3 == 0, rng);
+    const Netlist b = retimed_or_mutated(a, trial % 2 == 1, rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " width " +
+                 std::to_string(width));
+
+    const ClsEquivalenceResult portfolio =
+        verify_cls_equivalence(a, b, portfolio_options());
+    const ClsEquivalenceResult oracle =
+        run_backend(EquivalenceBackend::kExplicit, a, b, nullptr, false);
+    ASSERT_EQ(oracle.verdict, Verdict::kProven) << oracle.summary();
+    ASSERT_EQ(portfolio.verdict, Verdict::kProven) << portfolio.summary();
+    EXPECT_EQ(portfolio.equivalent, oracle.equivalent)
+        << portfolio.decided_reason;
+    for (const EquivalenceBackend engine :
+         {EquivalenceBackend::kSat, EquivalenceBackend::kBdd}) {
+      const ClsEquivalenceResult r = run_backend(engine, a, b, nullptr, false);
+      if (r.verdict != Verdict::kProven) continue;
+      EXPECT_EQ(r.equivalent, oracle.equivalent)
+          << to_string(engine) << ": " << r.summary();
+      if (r.counterexample) {
+        EXPECT_FALSE(cls_outputs_match(a, b, *r.counterexample));
+      }
+    }
+    for (const ClsEquivalenceResult* r : {&portfolio, &oracle}) {
+      EXPECT_EQ(r->counterexample.has_value(), !r->equivalent);
+      if (r->counterexample) {
+        EXPECT_FALSE(cls_outputs_match(a, b, *r->counterexample));
+      }
+    }
+    staged += portfolio.decided_by == EquivalenceBackend::kExplicit;
+    distinguished += !oracle.equivalent;
+  }
+  // Small pairs fit the allowance, so the stage must decide nearly all of
+  // them, and the mutants must supply real refutations.
+  EXPECT_GT(staged, 280);
+  EXPECT_GT(distinguished, 50);
+}
+
+TEST(StagedPortfolio, HandsAnOverAllowanceSearchToTheRace) {
+  // shift_register(12) has one input but 3^12 reachable state pairs
+  // against its retiming: the stage stops at its 4096-pair allowance and
+  // the race decides, on the rest of a caller budget it never exhausted.
+  const Netlist n = shift_register(12);
+  const RetimeGraph g = RetimeGraph::from_netlist(n);
+  const Netlist retimed = apply_retiming(n, g, min_area_retime(g).lag);
+  ResourceBudget budget;
+  const ClsEquivalenceResult r =
+      verify_cls_equivalence(n, retimed, portfolio_options(), &budget);
+  EXPECT_TRUE(r.equivalent) << r.summary();
+  EXPECT_EQ(r.verdict, Verdict::kProven) << r.summary();
+  EXPECT_TRUE(r.decided_by == EquivalenceBackend::kSat ||
+              r.decided_by == EquivalenceBackend::kBdd)
+      << to_string(r.decided_by) << ": " << r.decided_reason;
+  EXPECT_GE(r.usage.state_pairs, 4096u) << r.usage.summary();
+  EXPECT_FALSE(r.usage.exhausted) << r.usage.summary();
+  EXPECT_FALSE(budget.exhausted());
+}
+
+TEST(StagedPortfolio, HonoursACancelledTokenAndAnExpiredDeadline) {
+  // Both pairs are narrow, so the stage would prove or refute them in
+  // microseconds if it ignored the caller's token or deadline.
+  const Netlist a = inverter_pipeline();
+  const Netlist mutant = buffer_pipeline();
+  CancellationToken cancelled;
+  cancelled.request_cancel();
+  for (const bool use_deadline : {false, true}) {
+    for (const Netlist* b : {&a, &mutant}) {
+      SCOPED_TRACE(std::string(use_deadline ? "expired deadline"
+                                            : "cancelled token") +
+                   (b == &a ? ", self pair" : ", mutant pair"));
+      ResourceBudget budget = ResourceBudget::with_deadline(
+          ResourceLimits{}, use_deadline ? CancellationToken{} : cancelled,
+          use_deadline ? std::optional(std::chrono::steady_clock::now() -
+                                       std::chrono::milliseconds(1))
+                       : std::nullopt);
+      const ClsEquivalenceResult r =
+          verify_cls_equivalence(a, *b, portfolio_options(), &budget);
+      EXPECT_NE(r.verdict, Verdict::kProven) << r.summary();
+      EXPECT_FALSE(r.exhaustive);
+      EXPECT_FALSE(r.counterexample.has_value()) << r.summary();
+      EXPECT_TRUE(r.usage.exhausted) << r.usage.summary();
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // Shared builders and assertion helpers for the test suite.
 
 #include <string>
+#include <vector>
 
 #include "netlist/netlist.hpp"
+#include "retime/graph.hpp"
 #include "sim/vectors.hpp"
+#include "util/rng.hpp"
 
 namespace rtv::testing {
 
@@ -53,6 +56,43 @@ inline Netlist inverter_pipeline() {
   n.connect(PortRef(l1, 0), PinRef(out, 0));
   n.check_valid(true);
   return n;
+}
+
+/// inverter_pipeline fed by a 7-input AND: one input more than the
+/// portfolio's explicit stage takes, so a portfolio query on it goes
+/// straight to the BDD/SAT race. Its output takes 0, 1 and X, so the
+/// static fixpoint cannot prove it against itself either.
+inline Netlist wide_pipeline() {
+  Netlist n;
+  const NodeId g = n.add_gate(CellKind::kAnd, 7, "g");
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    n.connect(n.add_input("in" + std::to_string(i)), g, i);
+  }
+  const NodeId out = n.add_output("out");
+  const NodeId l0 = n.add_latch("L0");
+  const NodeId l1 = n.add_latch("L1");
+  const NodeId inv = n.add_gate(CellKind::kNot, 0, "inv");
+  n.connect(g, l0);
+  n.connect(l0, inv);
+  n.connect(inv, l1);
+  n.connect(PortRef(l1, 0), PinRef(out, 0));
+  n.check_valid(true);
+  return n;
+}
+
+/// A random legal lag: `attempts` single-vertex +-1 probes, each kept when
+/// the retiming stays legal.
+inline std::vector<int> random_legal_lag(const RetimeGraph& g, Rng& rng,
+                                         int attempts = 40) {
+  std::vector<int> lag(g.num_vertices(), 0);
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    std::vector<int> probe = lag;
+    const std::uint32_t v =
+        2 + static_cast<std::uint32_t>(rng.below(g.num_vertices() - 2));
+    probe[v] += rng.coin() ? 1 : -1;
+    if (g.legal_retiming(probe)) lag = probe;
+  }
+  return lag;
 }
 
 }  // namespace rtv::testing

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
+#include "core/safety.hpp"
 #include "gen/paper_circuits.hpp"
 #include "gen/random_circuits.hpp"
 #include "io/dot_export.hpp"
 #include "io/rnl_format.hpp"
+#include "retime/graph.hpp"
 #include "sim/binary_sim.hpp"
 #include "stg/stg.hpp"
 #include "test_helpers.hpp"
@@ -14,6 +17,7 @@
 namespace rtv {
 namespace {
 
+using testing::random_legal_lag;
 using testing::toggle_circuit;
 
 /// Structural + behavioural round-trip check.
@@ -73,6 +77,44 @@ TEST(Rnl, RoundTripRandomCircuits) {
   for (int trial = 0; trial < 5; ++trial) {
     expect_round_trip(random_netlist(opt, rng));
   }
+}
+
+/// Retimes `parsed` with a random legal lag and checks that the written
+/// text of the retimed design reads back and re-serializes unchanged.
+void expect_retimed_round_trip(const Netlist& parsed, Rng& rng) {
+  const RetimeGraph g = RetimeGraph::from_netlist(parsed);
+  SequencedRetiming seq;
+  analyze_lag_retiming(parsed, g, random_legal_lag(g, rng), &seq);
+  const std::string text = write_rnl(seq.retimed);
+  Netlist back;
+  ASSERT_NO_THROW(back = read_rnl(text)) << text;
+  EXPECT_EQ(write_rnl(back), text);
+}
+
+TEST(Rnl, RetimedCopiesOfParsedDesignsRoundTrip) {
+  // A parsed design already holds generated names such as latch_0.
+  // Retiming it adds unnamed latches, whose fresh names must not repeat
+  // them, or read_rnl rejects the written text ("duplicate node name").
+  RandomCircuitOptions opt;
+  opt.latch_after_gate_probability = 0.3;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Netlist parsed;
+    ASSERT_NO_THROW(parsed = read_rnl(write_rnl(random_netlist(opt, rng))));
+    expect_retimed_round_trip(parsed, rng);
+  }
+}
+
+TEST(Rnl, RegressFreshNamesAvoidParsedNames) {
+  // The first design of the sweep above whose retimed copy repeated a
+  // latch name, retimed with that sweep's lag draws.
+  const Netlist parsed = load_rnl(RTV_REGRESS_DIR "/fresh_name_seed1.rnl");
+  RandomCircuitOptions opt;
+  opt.latch_after_gate_probability = 0.3;
+  Rng rng(1);
+  random_netlist(opt, rng);  // replays the draws that built the design
+  expect_retimed_round_trip(parsed, rng);
 }
 
 TEST(Rnl, FileSaveLoad) {

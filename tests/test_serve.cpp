@@ -328,17 +328,33 @@ TEST(Server, ClsEquivalenceBackendSelectionRoundTrips) {
     EXPECT_TRUE(result->find("equivalent")->as_bool()) << backend;
     const std::string decided = result->find("decided_by")->as_string();
     if (backend == "portfolio") {
-      // The race winner is timing-dependent but must be a real engine, and
-      // the reason must say the portfolio decided.
-      EXPECT_TRUE(decided == "bdd" || decided == "sat") << decided;
-      EXPECT_NE(
-          result->find("decided_reason")->as_string().find("portfolio"),
-          std::string::npos);
+      // Fig 1 is narrow: the portfolio's explicit stage decides it, and
+      // the reason says the portfolio decided.
+      EXPECT_EQ(decided, "explicit");
+      EXPECT_EQ(
+          result->find("decided_reason")->as_string().rfind("portfolio: ", 0),
+          0u);
     } else {
       EXPECT_EQ(decided, backend);
       EXPECT_FALSE(result->find("decided_reason")->as_string().empty());
     }
   }
+
+  // Seven inputs skip the stage: the race winner is timing-dependent but
+  // must be a real engine.
+  const std::string wide = write_rnl(testing::wide_pipeline());
+  const JsonValue raced = parse_response(server.handle_line(
+      frame("be-wide", "cls-equivalence",
+            design_field(wide) + ",\"design_b\":\"" + json_escape(wide) +
+                "\",\"options\":{\"backend\":\"portfolio\"}")));
+  ASSERT_TRUE(response_ok(raced));
+  const JsonValue* raced_result = raced.find("result");
+  EXPECT_TRUE(raced_result->find("equivalent")->as_bool());
+  const std::string winner = raced_result->find("decided_by")->as_string();
+  EXPECT_TRUE(winner == "bdd" || winner == "sat") << winner;
+  EXPECT_EQ(
+      raced_result->find("decided_reason")->as_string().rfind("portfolio: ", 0),
+      0u);
 
   // An unknown backend gets the standard bad-request envelope, same as any
   // other unknown option value.

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -95,7 +96,7 @@ ServeOptions chaos_server_options() {
 /// Polls `predicate` on the server's stats until it holds or `budget_ms`
 /// elapses; returns whether it held.
 bool wait_for(const Server& server, std::uint64_t budget_ms,
-              bool (*predicate)(const ServeStats&)) {
+              const std::function<bool(const ServeStats&)>& predicate) {
   const auto until = Clock::now() + std::chrono::milliseconds(budget_ms);
   while (Clock::now() < until) {
     if (predicate(server.stats())) return true;
@@ -189,6 +190,51 @@ TEST(ServeOverload, HealthAnswersInlineWhileSaturated) {
   const JsonValue idle =
       parse_response(server.handle_line(frame("h2", "health")));
   EXPECT_EQ(idle.find("result")->find("status")->as_string(), "ok");
+}
+
+TEST(ServeOverload, EveryJobWorkerRunsAJobAtOnce) {
+  // --threads N means N job workers: N cooperative spins admitted together
+  // all run at once, and none waits in the pool behind another.
+  for (const unsigned n : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(n) + " threads");
+    ServeOptions options;
+    options.threads = n;
+    options.chaos_hooks = true;
+    Server server(options);
+    EXPECT_EQ(server.stats().threads, n);
+    EXPECT_EQ(server.stats().max_inflight, n);
+
+    constexpr std::uint64_t kSpinMs = 400;
+    std::vector<double> latency_ms(n, 0.0);
+    std::vector<std::thread> callers;
+    for (unsigned i = 0; i < n; ++i) {
+      callers.emplace_back([&, i] {
+        const auto start = Clock::now();
+        const JsonValue doc = parse_response(server.handle_line(
+            spin_frame("spin-" + std::to_string(i), kSpinMs, true)));
+        EXPECT_TRUE(response_ok(doc));
+        latency_ms[i] =
+            std::chrono::duration<double, std::milli>(Clock::now() - start)
+                .count();
+      });
+    }
+    EXPECT_TRUE(wait_for(server, 2000, [n](const ServeStats& s) {
+      return s.inflight == n && s.queued == 0;
+    }));
+    for (std::thread& t : callers) t.join();
+    // Running at once, each spin answers after about one spin; a job left
+    // waiting for a worker would take two.
+    for (const double ms : latency_ms) {
+      EXPECT_LT(ms, 1.75 * kSpinMs);
+    }
+  }
+
+  // One thread keeps the inline serial mode: one worker, one slot.
+  ServeOptions serial;
+  serial.threads = 1;
+  const Server server(serial);
+  EXPECT_EQ(server.stats().threads, 1u);
+  EXPECT_EQ(server.stats().max_inflight, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/bits.hpp"
@@ -287,6 +292,24 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     });
   }
   EXPECT_EQ(sum.load(), 50u * 17u);
+}
+
+TEST(ThreadPool, ALoneTaskStreamStaysOnTheMostRecentlyIdleWorker) {
+  // One task at a time, each submitted after the last finished and its
+  // worker went back to sleep: the task wakes the most recently idle
+  // worker, so the stream keeps one warm thread instead of rotating
+  // through all three.
+  ThreadPool pool(4);
+  std::map<std::thread::id, int> runs;
+  for (int i = 0; i < 20; ++i) {
+    std::promise<std::thread::id> ran;
+    pool.submit([&] { ran.set_value(std::this_thread::get_id()); });
+    ++runs[ran.get_future().get()];
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  int most = 0;
+  for (const auto& [id, count] : runs) most = std::max(most, count);
+  EXPECT_GE(most, 18) << runs.size() << " workers ran the stream";
 }
 
 }  // namespace
