@@ -1,5 +1,7 @@
 #include "netlist/cell.hpp"
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace rtv {
@@ -42,11 +44,11 @@ const char* cell_kind_name(CellKind kind) {
   throw InternalError("corrupt CellKind value");
 }
 
-CellKind cell_kind_from_name(const std::string& name) {
-  static const struct {
-    const char* name;
+CellKind cell_kind_from_name(std::string_view name) {
+  static constexpr struct {
+    std::string_view name;
     CellKind kind;
-  } kTable[] = {
+  } kinds_by_name[] = {
       {"input", CellKind::kInput},   {"output", CellKind::kOutput},
       {"const0", CellKind::kConst0}, {"const1", CellKind::kConst1},
       {"buf", CellKind::kBuf},       {"not", CellKind::kNot},
@@ -56,10 +58,10 @@ CellKind cell_kind_from_name(const std::string& name) {
       {"mux", CellKind::kMux},       {"junc", CellKind::kJunc},
       {"table", CellKind::kTable},   {"latch", CellKind::kLatch},
   };
-  for (const auto& entry : kTable) {
+  for (const auto& entry : kinds_by_name) {
     if (name == entry.name) return entry.kind;
   }
-  throw ParseError("unknown cell kind: '" + name + "'");
+  throw ParseError("unknown cell kind: '" + std::string(name) + "'");
 }
 
 bool is_combinational(CellKind kind) {

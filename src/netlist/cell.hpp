@@ -8,7 +8,7 @@
 // introduction, by a simple latch surrounded by gates (see gen/datapath).
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace rtv {
 
@@ -36,7 +36,7 @@ enum class CellKind : std::uint8_t {
 const char* cell_kind_name(CellKind kind);
 
 /// Inverse of cell_kind_name. Throws ParseError for unknown names.
-CellKind cell_kind_from_name(const std::string& name);
+CellKind cell_kind_from_name(std::string_view name);
 
 /// True for every kind that computes a combinational function
 /// (everything except kInput, kOutput and kLatch).

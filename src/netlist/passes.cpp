@@ -114,17 +114,20 @@ std::vector<StructuralViolation> Netlist::structural_violations(
   };
   // How many ports claim each pin as a sink; a count above one is a
   // multi-driven wire regardless of which driver the fanin side records.
-  std::vector<std::vector<std::uint32_t>> drive_count(nodes_.size());
+  // One flat slot per live pin: node i's pins start at first_pin[i].
+  std::vector<std::size_t> first_pin(nodes_.size() + 1, 0);
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    drive_count[i].assign(nodes_[i].dead ? 0 : nodes_[i].num_pins(), 0);
+    first_pin[i + 1] =
+        first_pin[i] + (nodes_[i].dead ? 0 : nodes_[i].num_pins());
   }
+  std::vector<std::uint32_t> drive_count(first_pin.back(), 0);
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].dead) continue;
     for (const auto& port_sinks : nodes_[i].fanout) {
       for (const PinRef& s : port_sinks) {
         if (s.node.value < nodes_.size() && !nodes_[s.node.value].dead &&
             s.pin < nodes_[s.node.value].num_pins()) {
-          ++drive_count[s.node.value][s.pin];
+          ++drive_count[first_pin[s.node.value] + s.pin];
         }
       }
     }
@@ -134,29 +137,33 @@ std::vector<StructuralViolation> Netlist::structural_violations(
     const Node& n = nodes_[i];
     if (n.dead) continue;
     const NodeId id(i);
-    const std::string where = " (node '" + n.name + "')";
+    // Built only for a violation that is emitted: a sound netlist pays
+    // for no message text.
+    const auto where = [&n] { return " (node '" + n.name + "')"; };
     // Arity legality per kind.
     unsigned pins = 0, ports = 0;
     if (fixed_pin_count(n.kind, pins) && n.num_pins() != pins) {
-      emit(ViolationKind::kBadArity, id, "wrong pin count" + where);
+      emit(ViolationKind::kBadArity, id, "wrong pin count" + where());
     }
     if (fixed_port_count(n.kind, ports) && n.num_ports() != ports) {
-      emit(ViolationKind::kBadArity, id, "wrong port count" + where);
+      emit(ViolationKind::kBadArity, id, "wrong port count" + where());
     }
     if (is_variadic_gate(n.kind) && n.num_pins() < 1) {
-      emit(ViolationKind::kBadArity, id, "variadic gate with no pins" + where);
+      emit(ViolationKind::kBadArity, id,
+           "variadic gate with no pins" + where());
     }
     if (n.kind == CellKind::kJunc && n.num_ports() < 1) {
-      emit(ViolationKind::kBadArity, id, "junction with no ports" + where);
+      emit(ViolationKind::kBadArity, id, "junction with no ports" + where());
     }
     if (n.kind == CellKind::kTable) {
       if (!n.table.valid() || n.table.value >= tables_.size()) {
-        emit(ViolationKind::kBadTable, id, "dangling table id" + where);
+        emit(ViolationKind::kBadTable, id, "dangling table id" + where());
       } else {
         const TruthTable& t = tables_[n.table.value];
         if (n.num_pins() != t.num_inputs() ||
             n.num_ports() != t.num_outputs()) {
-          emit(ViolationKind::kBadTable, id, "table cell arity mismatch" + where);
+          emit(ViolationKind::kBadTable, id,
+               "table cell arity mismatch" + where());
         }
       }
     }
@@ -165,52 +172,53 @@ std::vector<StructuralViolation> Netlist::structural_violations(
       const PortRef drv = n.fanin[pin];
       if (!drv.valid()) {
         emit(ViolationKind::kUnconnectedPin, id,
-             "unconnected input pin " + std::to_string(pin) + where);
+             "unconnected input pin " + std::to_string(pin) + where());
         continue;
       }
       if (drv.node.value >= nodes_.size() || nodes_[drv.node.value].dead) {
         emit(ViolationKind::kBrokenCrossLink, id,
-             "pin driven by dead/out-of-range node" + where);
+             "pin driven by dead/out-of-range node" + where());
         continue;
       }
       const Node& src = nodes_[drv.node.value];
       if (drv.port >= src.num_ports()) {
         emit(ViolationKind::kBrokenCrossLink, id,
-             "driver port out of range" + where);
+             "driver port out of range" + where());
         continue;
       }
       const auto& fo = src.fanout[drv.port];
       if (std::find(fo.begin(), fo.end(), PinRef(id, pin)) == fo.end()) {
         emit(ViolationKind::kBrokenCrossLink, id,
-             "fanin/fanout cross-link broken" + where);
+             "fanin/fanout cross-link broken" + where());
       }
-      if (drive_count[i][pin] > 1) {
+      const std::uint32_t drivers = drive_count[first_pin[i] + pin];
+      if (drivers > 1) {
         emit(ViolationKind::kMultiDrivenPin, id,
              "input pin " + std::to_string(pin) + " driven by " +
-                 std::to_string(drive_count[i][pin]) + " ports" + where);
+                 std::to_string(drivers) + " ports" + where());
       }
     }
     for (std::uint32_t port = 0; port < n.num_ports(); ++port) {
       for (const PinRef& s : n.fanout[port]) {
         if (s.node.value >= nodes_.size() || nodes_[s.node.value].dead) {
           emit(ViolationKind::kBrokenCrossLink, id,
-               "fanout to dead/out-of-range node" + where);
+               "fanout to dead/out-of-range node" + where());
           continue;
         }
         const Node& dst = nodes_[s.node.value];
         if (s.pin >= dst.num_pins()) {
           emit(ViolationKind::kBrokenCrossLink, id,
-               "fanout pin out of range" + where);
+               "fanout pin out of range" + where());
           continue;
         }
         if (dst.fanin[s.pin] != PortRef(id, port)) {
           emit(ViolationKind::kBrokenCrossLink, id,
-               "fanout/fanin cross-link broken" + where);
+               "fanout/fanin cross-link broken" + where());
         }
       }
       if (require_junction_normal && n.fanout[port].size() > 1) {
         emit(ViolationKind::kImplicitFanout, id,
-             "implicit multi-fanout port in junction-normal mode" + where);
+             "implicit multi-fanout port in junction-normal mode" + where());
       }
     }
   }

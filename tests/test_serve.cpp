@@ -392,6 +392,16 @@ TEST(Server, ErrorEnvelopesCarryTheDocumentedCodes) {
             "invalid_argument");
 }
 
+TEST(Server, UnknownCellKindIsAParseErrorWithItsLine) {
+  // The error-envelope example in docs/serve.md quotes this message.
+  Server server(small_server_options());
+  const JsonValue doc = parse_response(server.handle_line(frame(
+      "job-43", "lint", design_field("rnl 1\nnode a input\nnode g xr 2\n"))));
+  EXPECT_EQ(error_code(doc), "parse_error");
+  EXPECT_EQ(doc.find("error")->find("message")->as_string(),
+            "rnl line 3: unknown cell kind: 'xr'");
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency semantics
 
