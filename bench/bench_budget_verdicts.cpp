@@ -3,21 +3,16 @@
 // reachability, fault simulation, validate, flow) measured without a budget
 // and again under a 100 ms wall-clock deadline.
 //
-// The report asserts the governance contract before writing anything:
-// budgeted runs must return within 2x the deadline (cooperative
+// BENCH_robustness.json (the shared row schema, bench_util.hpp) records
+// both timings and verdicts per entry point and gates the governance
+// contract: budgeted runs must return within 2x the deadline (cooperative
 // checkpoints are frequent enough that overshoot is bounded by one unit of
 // work), and a run whose budget blew must never label its verdict
-// "proven". The machine-readable BENCH_robustness.json (path overridable
-// via RTV_BENCH_JSON) records both timings and verdicts per entry point;
-// the binary re-reads and schema-checks the file, exiting non-zero on any
-// violation so the contract cannot silently bit-rot. RTV_BENCH_SMOKE=1
-// shrinks the workloads so CI can run the report in seconds.
+// "proven". RTV_BENCH_SMOKE=1 shrinks the workloads so CI can run the
+// report in seconds.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,11 +36,6 @@ namespace {
 
 constexpr std::uint64_t kDeadlineMs = 100;
 
-bool smoke_mode() {
-  const char* v = std::getenv("RTV_BENCH_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 struct Row {
   std::string entry_point;
   double full_ms = 0.0;          ///< unbudgeted time to verdict
@@ -53,15 +43,8 @@ struct Row {
   double budgeted_ms = 0.0;      ///< with the 100 ms deadline
   std::string budgeted_verdict;
   bool budget_blew = false;      ///< the deadline actually bit
-  bool within_2x = false;        ///< budgeted_ms <= 2 * deadline
   bool honest = false;           ///< blew -> verdict is not "proven"
 };
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 ResourceLimits deadline_limits() {
   ResourceLimits limits;
@@ -70,24 +53,27 @@ ResourceLimits deadline_limits() {
 }
 
 /// Runs `body` twice — ungoverned, then under the deadline — and fills the
-/// contract fields. `body` returns (verdict label, budget blew).
+/// contract fields, whose gates it declares first. `body` returns (verdict
+/// label, budget blew).
 template <typename Body>
-Row measure(const std::string& name, Body&& body) {
+Row measure(bench::Report* report, const std::string& name, Body&& body) {
+  report->gate({name, "budget", "budgeted_ms"},
+               bench::Gate::max(2.0 * static_cast<double>(kDeadlineMs)));
+  report->gate({name, "budget", "honest_degradation"}, bench::Gate::eq(true));
   Row row;
   row.entry_point = name;
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto full = body(nullptr);
-  row.full_ms = ms_since(t0);
+  row.full_ms = bench::ms_since(t0);
   row.full_verdict = full.first;
 
   ResourceBudget budget(deadline_limits());
   const auto t1 = std::chrono::steady_clock::now();
   const auto bounded = body(&budget);
-  row.budgeted_ms = ms_since(t1);
+  row.budgeted_ms = bench::ms_since(t1);
   row.budgeted_verdict = bounded.first;
   row.budget_blew = bounded.second;
-  row.within_2x = row.budgeted_ms <= 2.0 * static_cast<double>(kDeadlineMs);
   row.honest = !(row.budget_blew && row.budgeted_verdict == "proven");
   return row;
 }
@@ -106,7 +92,7 @@ Netlist random_workload(unsigned gates, unsigned latches, unsigned inputs,
   return random_netlist(opt, rng);
 }
 
-std::vector<Row> run_report(bool smoke) {
+std::vector<Row> run_report(bench::Report* report, bool smoke) {
   std::vector<Row> rows;
 
   // CLS equivalence, exhaustive regime: the bench_thm51_cls shape (few
@@ -115,7 +101,7 @@ std::vector<Row> run_report(bool smoke) {
   {
     const unsigned gates = smoke ? 24 : 96;
     const Netlist n = random_workload(gates, gates / 4, 4, 0xB1);
-    rows.push_back(measure("cls_exhaustive", [&](ResourceBudget* b) {
+    rows.push_back(measure(report, "cls_exhaustive", [&](ResourceBudget* b) {
       const ClsEquivalenceResult r = check_cls_equivalence(n, n, {}, b);
       return VerdictLabel{to_string(r.verdict),
                           r.verdict == Verdict::kExhausted};
@@ -130,7 +116,7 @@ std::vector<Row> run_report(bool smoke) {
     ClsEquivOptions opt;
     opt.random_sequences = smoke ? 32 : 2000;
     opt.random_length = smoke ? 8 : 64;
-    rows.push_back(measure("cls_bounded", [&](ResourceBudget* b) {
+    rows.push_back(measure(report, "cls_bounded", [&](ResourceBudget* b) {
       const ClsEquivalenceResult r = check_cls_equivalence(n, n, opt, b);
       return VerdictLabel{to_string(r.verdict), r.verdict == Verdict::kExhausted};
     }));
@@ -141,7 +127,7 @@ std::vector<Row> run_report(bool smoke) {
   {
     const Netlist n = random_workload(smoke ? 96 : 512, smoke ? 6 : 13,
                                       smoke ? 2 : 4, 0xB2);
-    rows.push_back(measure("stg_extract", [&](ResourceBudget* b) {
+    rows.push_back(measure(report, "stg_extract", [&](ResourceBudget* b) {
       try {
         const Stg stg = Stg::extract(n, kDefaultStgEntryCap, b);
         (void)stg.num_states();
@@ -158,7 +144,7 @@ std::vector<Row> run_report(bool smoke) {
     const Netlist n = random_workload(smoke ? 128 : 1024, smoke ? 12 : 48,
                                       8, 0xB3);
     const Bits zero(n.latches().size(), 0);
-    rows.push_back(measure("symbolic_reach", [&](ResourceBudget* b) {
+    rows.push_back(measure(report, "symbolic_reach", [&](ResourceBudget* b) {
       try {
         SymbolicMachine machine(n, kDefaultBddNodeLimit, b);
         machine.reachable(machine.state_cube(zero));
@@ -183,7 +169,7 @@ std::vector<Row> run_report(bool smoke) {
         t.push_back(std::move(in));
       }
     }
-    rows.push_back(measure("fault_sim", [&](ResourceBudget* b) {
+    rows.push_back(measure(report, "fault_sim", [&](ResourceBudget* b) {
       FaultSimOptions opt;
       opt.mode = FaultSimMode::kCls;
       opt.threads = 1;
@@ -206,7 +192,7 @@ std::vector<Row> run_report(bool smoke) {
     vopt.explicit_opts.max_branching = 1;
     vopt.explicit_opts.random_sequences = smoke ? 16 : 500;
     vopt.explicit_opts.random_length = smoke ? 8 : 64;
-    rows.push_back(measure("validate", [&](ResourceBudget* b) {
+    rows.push_back(measure(report, "validate", [&](ResourceBudget* b) {
       ValidationOptions opt;
       opt.verify = vopt;
       if (b != nullptr) opt.budget = b->limits();
@@ -223,7 +209,7 @@ std::vector<Row> run_report(bool smoke) {
     vopt.explicit_opts.max_branching = 1;  // bounded mode, as above
     vopt.explicit_opts.random_sequences = smoke ? 16 : 500;
     vopt.explicit_opts.random_length = smoke ? 8 : 64;
-    rows.push_back(measure("flow", [&](ResourceBudget* b) {
+    rows.push_back(measure(report, "flow", [&](ResourceBudget* b) {
       FlowOptions opt;
       opt.verify = vopt;
       if (b != nullptr) opt.budget = b->limits();
@@ -236,142 +222,34 @@ std::vector<Row> run_report(bool smoke) {
   return rows;
 }
 
-std::string bench_json_path() {
-  const char* v = std::getenv("RTV_BENCH_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_robustness.json";
-}
-
-std::string render_bench_json(const std::vector<Row>& rows) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"budget_verdicts\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"deadline_ms\": " << kDeadlineMs << ",\n";
-  os << "  \"entry_points\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\n";
-    os << "      \"name\": \"" << r.entry_point << "\",\n";
-    os << "      \"full_ms\": " << r.full_ms << ",\n";
-    os << "      \"full_verdict\": \"" << r.full_verdict << "\",\n";
-    os << "      \"budgeted_ms\": " << r.budgeted_ms << ",\n";
-    os << "      \"budgeted_verdict\": \"" << r.budgeted_verdict << "\",\n";
-    os << "      \"budget_blew\": " << (r.budget_blew ? "true" : "false")
-       << ",\n";
-    os << "      \"within_2x_deadline\": " << (r.within_2x ? "true" : "false")
-       << ",\n";
-    os << "      \"honest_degradation\": " << (r.honest ? "true" : "false")
-       << "\n";
-    os << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
-}
-
-/// Minimal schema check (no JSON library in the image): required keys,
-/// balanced nesting, at least one entry point, and the two contract flags
-/// true in every row.
-std::string validate_bench_json(const std::string& text) {
-  for (const char* key :
-       {"\"benchmark\"", "\"schema_version\"", "\"smoke\"", "\"deadline_ms\"",
-        "\"entry_points\"", "\"name\"", "\"full_ms\"", "\"full_verdict\"",
-        "\"budgeted_ms\"", "\"budgeted_verdict\"", "\"budget_blew\"",
-        "\"within_2x_deadline\"", "\"honest_degradation\""}) {
-    if (text.find(key) == std::string::npos) {
-      return std::string("missing key ") + key;
-    }
-  }
-  long depth_brace = 0, depth_bracket = 0;
-  for (char c : text) {
-    if (c == '{') ++depth_brace;
-    if (c == '}') --depth_brace;
-    if (c == '[') ++depth_bracket;
-    if (c == ']') --depth_bracket;
-    if (depth_brace < 0 || depth_bracket < 0) return "unbalanced nesting";
-  }
-  if (depth_brace != 0 || depth_bracket != 0) return "unbalanced nesting";
-  std::size_t pos = 0;
-  unsigned entries = 0;
-  while ((pos = text.find("\"within_2x_deadline\":", pos)) !=
-         std::string::npos) {
-    pos += 21;
-    if (text.compare(pos, 5, " true") != 0) {
-      return "an entry point overran 2x its deadline";
-    }
-    ++entries;
-  }
-  if (entries == 0) return "no entry points";
-  pos = 0;
-  while ((pos = text.find("\"honest_degradation\":", pos)) !=
-         std::string::npos) {
-    pos += 21;
-    if (text.compare(pos, 5, " true") != 0) {
-      return "a degraded run masqueraded as proven";
-    }
-  }
-  return "";
-}
-
-void emit_bench_json(const std::vector<Row>& rows) {
-  const std::string path = bench_json_path();
-  {
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    f << render_bench_json(rows);
-  }
-  std::ifstream f(path);
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  const std::string problem = validate_bench_json(buffer.str());
-  if (!problem.empty()) {
-    std::fprintf(stderr, "error: %s fails schema check: %s\n", path.c_str(),
-                 problem.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s (schema ok)\n", path.c_str());
-}
-
 }  // namespace
 
 void report() {
   bench::heading("robustness / budget verdicts",
                  "time-to-first-verdict per governed entry point, "
                  "ungoverned vs a 100 ms wall-clock budget");
-  const std::vector<Row> rows = run_report(smoke_mode());
+  bench::Report report("budget_verdicts");
+  const std::vector<Row> rows = run_report(&report, bench::smoke_mode());
 
-  std::printf("%-16s %-12s %-10s %-12s %-10s %-6s %-8s\n", "entry point",
-              "full ms", "verdict", "budget ms", "verdict", "blew",
-              "<=2x dl");
+  std::printf("%-16s %-12s %-10s %-12s %-10s %-6s\n", "entry point",
+              "full ms", "verdict", "budget ms", "verdict", "blew");
   for (const Row& r : rows) {
-    std::printf("%-16s %-12.2f %-10s %-12.2f %-10s %-6s %-8s\n",
+    std::printf("%-16s %-12.2f %-10s %-12.2f %-10s %-6s\n",
                 r.entry_point.c_str(), r.full_ms, r.full_verdict.c_str(),
                 r.budgeted_ms, r.budgeted_verdict.c_str(),
-                r.budget_blew ? "yes" : "no", r.within_2x ? "yes" : "NO");
-    if (!r.within_2x) {
-      std::fprintf(stderr,
-                   "error: %s overran 2x its %llu ms deadline (%.2f ms)\n",
-                   r.entry_point.c_str(),
-                   static_cast<unsigned long long>(kDeadlineMs),
-                   r.budgeted_ms);
-      std::exit(1);
-    }
-    if (!r.honest) {
-      std::fprintf(stderr,
-                   "error: %s blew its budget but reported 'proven'\n",
-                   r.entry_point.c_str());
-      std::exit(1);
-    }
+                r.budget_blew ? "yes" : "no");
+    const std::string& w = r.entry_point;
+    report.add({w, "budget", "full_ms"}, r.full_ms, "ms");
+    report.add_label({w, "budget", "full_verdict"}, r.full_verdict);
+    report.add({w, "budget", "budgeted_ms"}, r.budgeted_ms, "ms");
+    report.add_label({w, "budget", "budgeted_verdict"}, r.budgeted_verdict);
+    report.add_flag({w, "budget", "budget_blew"}, r.budget_blew);
+    report.add_flag({w, "budget", "honest_degradation"}, r.honest);
   }
   std::printf("(deadline %llu ms; a budgeted run must return within 2x the "
               "deadline\nand must never label a degraded verdict as proven)\n",
               static_cast<unsigned long long>(kDeadlineMs));
-  emit_bench_json(rows);
+  report.emit("BENCH_robustness.json");
 }
 
 }  // namespace rtv

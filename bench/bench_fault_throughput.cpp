@@ -3,18 +3,15 @@
 // fault) vs the multi-threaded engine behind fault_simulate (shared good
 // responses, word-at-a-time early exit, fault dropping).
 //
-// Besides the console table, the report emits a machine-readable
-// BENCH_fault.json (path overridable via RTV_BENCH_JSON) recording
-// baseline-vs-engine fault throughput; the binary cross-checks that both
-// sides report the identical detected-fault set before writing, and exits
-// non-zero if the JSON fails its own schema check. RTV_BENCH_SMOKE=1
-// shrinks every workload so CI can run the report in seconds.
+// Besides the console table, the report writes BENCH_fault.json (the
+// shared row schema, bench_util.hpp) recording baseline-vs-engine fault
+// throughput, gated on a positive speedup per workload; the binary
+// cross-checks that both sides report the identical detected-fault set
+// before writing. RTV_BENCH_SMOKE=1 shrinks every workload so CI can run
+// the report in seconds.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,11 +25,6 @@
 namespace rtv {
 
 namespace {
-
-bool smoke_mode() {
-  const char* v = std::getenv("RTV_BENCH_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 /// Mostly-combinational random netlist: few latches keeps CLS coverage high,
 /// which is the realistic regime for early exit (most faults are caught by
@@ -92,13 +84,9 @@ Row measure(const std::string& name, const Netlist& n, unsigned num_tests,
   options.drop_detected = true;
   const FaultSimResult r = fault_simulate(n, faults, tests, options);
 
-  if (r.detected != base.detected) {
-    std::fprintf(stderr,
-                 "error: engine and baseline disagree on the detected-fault "
-                 "set for workload %s\n",
-                 name.c_str());
-    std::exit(1);
-  }
+  bench::check(r.detected == base.detected,
+               "engine and baseline disagree on the detected-fault set for "
+               "workload " + name);
 
   Row row;
   row.name = name;
@@ -113,111 +101,26 @@ Row measure(const std::string& name, const Netlist& n, unsigned num_tests,
   return row;
 }
 
-std::string bench_json_path() {
-  const char* v = std::getenv("RTV_BENCH_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_fault.json";
-}
-
-std::string render_bench_json(const std::vector<Row>& rows) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"fault_throughput\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"mode\": \"cls\",\n";
-  os << "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\n";
-    os << "      \"name\": \"" << r.name << "\",\n";
-    os << "      \"gates\": " << r.gates << ",\n";
-    os << "      \"faults\": " << r.faults << ",\n";
-    os << "      \"tests\": " << r.tests << ",\n";
-    os << "      \"cycles\": " << r.cycles << ",\n";
-    os << "      \"coverage\": " << r.coverage << ",\n";
-    os << "      \"baseline_faults_per_sec\": " << r.baseline_fps << ",\n";
-    os << "      \"engine_faults_per_sec\": " << r.engine_fps << ",\n";
-    os << "      \"speedup\": " << r.speedup << "\n";
-    os << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
-}
-
-/// Minimal schema check (no JSON library in the image): required keys
-/// present, braces/brackets balanced, at least one workload, every speedup
-/// positive. Returns an error description or "".
-std::string validate_bench_json(const std::string& text) {
-  for (const char* key :
-       {"\"benchmark\"", "\"schema_version\"", "\"smoke\"", "\"mode\"",
-        "\"workloads\"", "\"name\"", "\"gates\"", "\"faults\"", "\"tests\"",
-        "\"cycles\"", "\"coverage\"", "\"baseline_faults_per_sec\"",
-        "\"engine_faults_per_sec\"", "\"speedup\""}) {
-    if (text.find(key) == std::string::npos) {
-      return std::string("missing key ") + key;
-    }
-  }
-  long depth_brace = 0, depth_bracket = 0;
-  for (char c : text) {
-    if (c == '{') ++depth_brace;
-    if (c == '}') --depth_brace;
-    if (c == '[') ++depth_bracket;
-    if (c == ']') --depth_bracket;
-    if (depth_brace < 0 || depth_bracket < 0) return "unbalanced nesting";
-  }
-  if (depth_brace != 0 || depth_bracket != 0) return "unbalanced nesting";
-  std::size_t pos = 0;
-  unsigned speedups = 0;
-  while ((pos = text.find("\"speedup\":", pos)) != std::string::npos) {
-    pos += 10;
-    const double v = std::strtod(text.c_str() + pos, nullptr);
-    if (!(v > 0.0)) return "non-positive speedup";
-    ++speedups;
-  }
-  if (speedups == 0) return "no workloads";
-  return "";
-}
-
-void emit_bench_json(const std::vector<Row>& rows) {
-  const std::string path = bench_json_path();
-  {
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    f << render_bench_json(rows);
-  }
-  std::ifstream f(path);
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  const std::string problem = validate_bench_json(buffer.str());
-  if (!problem.empty()) {
-    std::fprintf(stderr, "error: %s fails schema check: %s\n", path.c_str(),
-                 problem.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s (schema ok)\n", path.c_str());
-}
-
 }  // namespace
 
 void report() {
   bench::heading("E12 / fault sim",
                  "CLS faults per second: reference full-pass loop vs the "
                  "early-exit fault-dropping engine");
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
   const unsigned tests = smoke ? 96 : 512;
   const unsigned cycles = smoke ? 4 : 12;
 
+  bench::Report report("fault_throughput");
   std::vector<Row> rows;
-  rows.push_back(measure("random512", workload(512, 42), tests, cycles));
+  const auto run = [&](const std::string& name, const Netlist& n) {
+    report.gate({name, "fault", "speedup"}, bench::Gate::above(0.0));
+    rows.push_back(measure(name, n, tests, cycles));
+  };
+  run("random512", workload(512, 42));
   if (!smoke) {
-    rows.push_back(measure("random2048", workload(2048, 42), tests, cycles));
-    rows.push_back(
-        measure("ctrl_datapath64", controller_datapath(64), tests, cycles));
+    run("random2048", workload(2048, 42));
+    run("ctrl_datapath64", controller_datapath(64));
   }
 
   std::printf("%-16s %-8s %-8s %-10s %-14s %-14s %-8s\n", "workload", "gates",
@@ -231,7 +134,21 @@ void report() {
               "collapsed fault list;\nboth sides verified to report the "
               "identical detected-fault set)\n",
               tests, cycles);
-  emit_bench_json(rows);
+  for (const Row& r : rows) {
+    report.add({r.name, "fault", "gates"}, static_cast<double>(r.gates),
+               "count");
+    report.add({r.name, "fault", "faults"}, static_cast<double>(r.faults),
+               "count");
+    report.add({r.name, "fault", "tests"}, r.tests, "count");
+    report.add({r.name, "fault", "cycles"}, r.cycles, "count");
+    report.add({r.name, "fault", "coverage"}, r.coverage, "share");
+    report.add({r.name, "fault", "baseline_faults_per_sec"}, r.baseline_fps,
+               "1/s");
+    report.add({r.name, "fault", "engine_faults_per_sec"}, r.engine_fps,
+               "1/s");
+    report.add({r.name, "fault", "speedup"}, r.speedup, "x");
+  }
+  report.emit("BENCH_fault.json");
 }
 
 namespace {

@@ -4,25 +4,19 @@
 // lattice mean every port can grow at most 3 times, so worklist effort is
 // bounded by fanout-weighted updates, not by iteration-to-quiescence.
 //
-// The report asserts the contract before writing anything: per size,
+// BENCH_lint.json (the shared row schema, bench_util.hpp) records per-size
+// timings and convergence statistics and gates the contract: per size,
 // updates <= 3 * ports (the lattice-height bound, exact and deterministic),
-// and end-to-end the largest/smallest lint time ratio must stay within
-// kLinearSlack times the port-count ratio — a quadratic engine would blow
-// that bound by an order of magnitude at the 10x size spread measured
-// here. The machine-readable BENCH_lint.json (path overridable via
-// RTV_BENCH_JSON) records per-size timings and convergence statistics; the
-// binary re-reads and schema-checks the file, exiting non-zero on any
-// violation so the scaling contract cannot silently bit-rot.
-// RTV_BENCH_SMOKE=1 shrinks the sizes (same 10x spread) so CI can run the
-// report in seconds.
+// at least two sizes, and end-to-end the largest/smallest lint time ratio
+// must stay within kLinearSlack times the port-count ratio — a quadratic
+// engine would blow that bound by an order of magnitude at the 10x size
+// spread measured here. RTV_BENCH_SMOKE=1 shrinks the sizes (same 10x
+// spread) so CI can run the report in seconds.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,11 +38,6 @@ constexpr double kLinearSlack = 4.0;
 /// flaky ratio; irrelevant against any genuine super-linear blowup.
 constexpr double kNoiseFloorMs = 1.0;
 
-bool smoke_mode() {
-  const char* v = std::getenv("RTV_BENCH_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 struct Row {
   unsigned gates = 0;
   std::size_t ports = 0;
@@ -57,14 +46,7 @@ struct Row {
   std::size_t iterations = 0;
   std::size_t updates = 0;
   std::size_t table_fallbacks = 0;
-  bool updates_bound_ok = false;  ///< updates <= 3 * ports
 };
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 Netlist workload(unsigned gates, std::uint64_t seed) {
   Rng rng(seed);
@@ -85,11 +67,11 @@ Row measure(unsigned gates) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const DataflowResult df = run_dataflow(n);
-  row.dataflow_ms = ms_since(t0);
+  row.dataflow_ms = bench::ms_since(t0);
 
   const auto t1 = std::chrono::steady_clock::now();
   const LintResult lint = run_lint(n);
-  row.lint_ms = ms_since(t1);
+  row.lint_ms = bench::ms_since(t1);
 
   const DataflowStats& stats =
       lint.dataflow_stats.has_value() ? *lint.dataflow_stats : df.stats();
@@ -97,7 +79,6 @@ Row measure(unsigned gates) {
   row.iterations = stats.iterations;
   row.updates = stats.updates;
   row.table_fallbacks = stats.table_fallbacks;
-  row.updates_bound_ok = row.updates <= 3 * row.ports;
   return row;
 }
 
@@ -111,118 +92,6 @@ std::vector<Row> run_report(bool smoke) {
   return rows;
 }
 
-/// time(L)/time(S) <= kLinearSlack * ports(L)/ports(S), noise-damped.
-bool near_linear(const std::vector<Row>& rows, double* time_ratio,
-                 double* port_ratio) {
-  const Row& small = rows.front();
-  const Row& large = rows.back();
-  *time_ratio = (large.lint_ms + kNoiseFloorMs) /
-                (small.lint_ms + kNoiseFloorMs);
-  *port_ratio = static_cast<double>(large.ports) /
-                static_cast<double>(small.ports);
-  return *time_ratio <= kLinearSlack * *port_ratio;
-}
-
-std::string bench_json_path() {
-  const char* v = std::getenv("RTV_BENCH_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_lint.json";
-}
-
-std::string render_bench_json(const std::vector<Row>& rows, double time_ratio,
-                              double port_ratio, bool linear) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"lint_scale\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"linear_slack\": " << kLinearSlack << ",\n";
-  os << "  \"time_ratio\": " << time_ratio << ",\n";
-  os << "  \"port_ratio\": " << port_ratio << ",\n";
-  os << "  \"near_linear\": " << (linear ? "true" : "false") << ",\n";
-  os << "  \"sizes\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\n";
-    os << "      \"gates\": " << r.gates << ",\n";
-    os << "      \"ports\": " << r.ports << ",\n";
-    os << "      \"dataflow_ms\": " << r.dataflow_ms << ",\n";
-    os << "      \"lint_ms\": " << r.lint_ms << ",\n";
-    os << "      \"iterations\": " << r.iterations << ",\n";
-    os << "      \"updates\": " << r.updates << ",\n";
-    os << "      \"table_fallbacks\": " << r.table_fallbacks << ",\n";
-    os << "      \"updates_bound_ok\": "
-       << (r.updates_bound_ok ? "true" : "false") << "\n";
-    os << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
-}
-
-/// Minimal schema check (no JSON library in the image): required keys,
-/// balanced nesting, at least two sizes, the lattice bound true in every
-/// row, and the scaling flag true.
-std::string validate_bench_json(const std::string& text) {
-  for (const char* key :
-       {"\"benchmark\"", "\"schema_version\"", "\"smoke\"", "\"linear_slack\"",
-        "\"time_ratio\"", "\"port_ratio\"", "\"near_linear\"", "\"sizes\"",
-        "\"gates\"", "\"ports\"", "\"dataflow_ms\"", "\"lint_ms\"",
-        "\"iterations\"", "\"updates\"", "\"table_fallbacks\"",
-        "\"updates_bound_ok\""}) {
-    if (text.find(key) == std::string::npos) {
-      return std::string("missing key ") + key;
-    }
-  }
-  long depth_brace = 0, depth_bracket = 0;
-  for (char c : text) {
-    if (c == '{') ++depth_brace;
-    if (c == '}') --depth_brace;
-    if (c == '[') ++depth_bracket;
-    if (c == ']') --depth_bracket;
-    if (depth_brace < 0 || depth_bracket < 0) return "unbalanced nesting";
-  }
-  if (depth_brace != 0 || depth_bracket != 0) return "unbalanced nesting";
-  std::size_t pos = 0;
-  unsigned entries = 0;
-  while ((pos = text.find("\"updates_bound_ok\":", pos)) !=
-         std::string::npos) {
-    pos += 19;
-    if (text.compare(pos, 5, " true") != 0) {
-      return "a size broke the 3-updates-per-port lattice bound";
-    }
-    ++entries;
-  }
-  if (entries < 2) return "fewer than two sizes measured";
-  pos = text.find("\"near_linear\":");
-  if (pos == std::string::npos || text.compare(pos + 14, 5, " true") != 0) {
-    return "lint time scaled super-linearly in netlist size";
-  }
-  return "";
-}
-
-void emit_bench_json(const std::vector<Row>& rows, double time_ratio,
-                     double port_ratio, bool linear) {
-  const std::string path = bench_json_path();
-  {
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    f << render_bench_json(rows, time_ratio, port_ratio, linear);
-  }
-  std::ifstream f(path);
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  const std::string problem = validate_bench_json(buffer.str());
-  if (!problem.empty()) {
-    std::fprintf(stderr, "error: %s fails schema check: %s\n", path.c_str(),
-                 problem.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s (schema ok)\n", path.c_str());
-}
 
 void bm_dataflow(::benchmark::State& state) {
   const Netlist n = workload(static_cast<unsigned>(state.range(0)), 0xD5);
@@ -250,41 +119,50 @@ void report() {
   bench::heading("lint scaling / ternary dataflow fixpoint",
                  "run_dataflow and full run_lint on 10^4..10^5-gate random "
                  "netlists; updates <= 3 * ports and near-linear time");
-  const std::vector<Row> rows = run_report(smoke_mode());
+  bench::Report report("lint_scale");
+  report.gate({"all", "analysis", "sizes"}, bench::Gate::min(2.0));
+  const std::vector<Row> rows = run_report(bench::smoke_mode());
 
-  std::printf("%-10s %-10s %-12s %-12s %-12s %-10s %-10s %-6s\n", "gates",
+  std::printf("%-10s %-10s %-12s %-12s %-12s %-10s %-10s\n", "gates",
               "ports", "dataflow ms", "lint ms", "iterations", "updates",
-              "upd/port", "bound");
+              "upd/port");
   for (const Row& r : rows) {
-    std::printf("%-10u %-10zu %-12.2f %-12.2f %-12zu %-10zu %-10.3f %-6s\n",
+    std::printf("%-10u %-10zu %-12.2f %-12.2f %-12zu %-10zu %-10.3f\n",
                 r.gates, r.ports, r.dataflow_ms, r.lint_ms, r.iterations,
                 r.updates,
                 static_cast<double>(r.updates) /
-                    static_cast<double>(r.ports),
-                r.updates_bound_ok ? "ok" : "NO");
-    if (!r.updates_bound_ok) {
-      std::fprintf(stderr,
-                   "error: %u gates: %zu updates over %zu ports breaks the "
-                   "3-per-port lattice bound\n",
-                   r.gates, r.updates, r.ports);
-      std::exit(1);
-    }
+                    static_cast<double>(r.ports));
+    const std::string w = "random" + std::to_string(r.gates);
+    // The lattice-height bound: every port grows at most 3 times.
+    report.gate({w, "analysis", "updates"},
+                bench::Gate::max(3.0 * static_cast<double>(r.ports)));
+    report.add({w, "analysis", "ports"}, static_cast<double>(r.ports),
+               "count");
+    report.add({w, "analysis", "dataflow_ms"}, r.dataflow_ms, "ms");
+    report.add({w, "analysis", "lint_ms"}, r.lint_ms, "ms");
+    report.add({w, "analysis", "iterations"},
+               static_cast<double>(r.iterations), "count");
+    report.add({w, "analysis", "updates"}, static_cast<double>(r.updates),
+               "count");
+    report.add({w, "analysis", "table_fallbacks"},
+               static_cast<double>(r.table_fallbacks), "count");
   }
 
-  double time_ratio = 0.0, port_ratio = 0.0;
-  const bool linear = near_linear(rows, &time_ratio, &port_ratio);
+  // time(L)/time(S) <= kLinearSlack * ports(L)/ports(S), noise-damped.
+  const double time_ratio = (rows.back().lint_ms + kNoiseFloorMs) /
+                            (rows.front().lint_ms + kNoiseFloorMs);
+  const double port_ratio = static_cast<double>(rows.back().ports) /
+                            static_cast<double>(rows.front().ports);
   std::printf("largest/smallest: lint time %.2fx over %.2fx the ports "
-              "(slack %.1fx) — %s\n",
-              time_ratio, port_ratio, kLinearSlack,
-              linear ? "near-linear" : "SUPER-LINEAR");
-  if (!linear) {
-    std::fprintf(stderr,
-                 "error: lint time ratio %.2f exceeds %.1f * port ratio "
-                 "%.2f — scaling is super-linear\n",
-                 time_ratio, kLinearSlack, port_ratio);
-    std::exit(1);
-  }
-  emit_bench_json(rows, time_ratio, port_ratio, linear);
+              "(slack %.1fx)\n",
+              time_ratio, port_ratio, kLinearSlack);
+  report.gate({"all", "analysis", "time_ratio"},
+              bench::Gate::max(kLinearSlack * port_ratio));
+  report.add({"all", "analysis", "sizes"}, static_cast<double>(rows.size()),
+             "count");
+  report.add({"all", "analysis", "time_ratio"}, time_ratio, "x");
+  report.add({"all", "analysis", "port_ratio"}, port_ratio, "x");
+  report.emit("BENCH_lint.json");
 }
 
 }  // namespace rtv

@@ -6,37 +6,29 @@
 // 1x, 2x and 4x the server's nominal capacity. Jobs are the deterministic
 // chaos_spin_cooperative_ms simulate handler, so per-job service time is
 // known and the measurement describes the admission machinery, not an
-// analysis kernel. Contracts asserted (the binary exits non-zero when any
-// fails, or when the BENCH_serve_overload.json it writes does not match
-// its own schema):
+// analysis kernel. Contracts (the binary exits non-zero when any fails);
+// 1 is checked in-run, 2-5 are gated rows of BENCH_serve_overload.json
+// (the shared row schema, bench_util.hpp):
 //
 //  1. Every request id is answered exactly once — as a schema-valid
 //     success or a schema-valid "overloaded" rejection. Nothing is
-//     dropped, nothing is answered twice, no client blocks forever.
+//     dropped, nothing is answered twice, no client blocks forever, and
+//     the server's counters agree at quiescence.
 //  2. Past saturation the server sheds: at >= 2x offered load the shed
 //     count is positive (bounded queue, not unbounded latency).
 //  3. Accepted jobs stay fast: p99 completion latency of successful jobs
 //     stays under kMaxAcceptedP99Ms at every load point — the bounded
 //     admission queue caps how long an accepted job can have waited.
-//  4. Goodput does not collapse: successful jobs/sec at 4x load must be
-//     at least kMinGoodputRatio of goodput at 1x.
+//  4. Goodput does not collapse: successful jobs/sec is positive at every
+//     load point, and at 4x load at least kMinGoodputRatio of 1x.
 //  5. The server stays observable: a "health" probe sent mid-flood at 4x
 //     is answered inline in under kMaxHealthMs.
 //
-// Under RTV_BENCH_SMOKE=1 the pacing windows shrink (CI smoke);
-// RTV_BENCH_JSON overrides the report path.
-
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
+// Under RTV_BENCH_SMOKE=1 the pacing windows shrink (CI smoke).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -45,6 +37,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "line_client.hpp"
 #include "gen/paper_circuits.hpp"
 #include "io/json.hpp"
 #include "io/rnl_format.hpp"
@@ -58,16 +51,6 @@ using namespace rtv;
 using namespace rtv::serve;
 using Clock = std::chrono::steady_clock;
 
-bool smoke_mode() {
-  const char* v = std::getenv("RTV_BENCH_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-std::string bench_json_path() {
-  const char* v = std::getenv("RTV_BENCH_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_serve_overload.json";
-}
-
 /// Accepted-job p99 latency cap at every load point. Queue depth x
 /// service time bounds the wait, so this is generous headroom for
 /// scheduler noise, not a tuned number.
@@ -79,100 +62,9 @@ constexpr double kMaxHealthMs = 1000.0;
 /// Deterministic per-job service time (cooperative chaos spin).
 constexpr std::uint64_t kServiceMs = 5;
 
-[[noreturn]] void fail(const std::string& what) {
-  std::fprintf(stderr, "bench_serve_overload: CONTRACT VIOLATION: %s\n",
-               what.c_str());
-  std::exit(1);
-}
-
-void check(bool ok, const std::string& what) {
-  if (!ok) fail(what);
-}
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double index = p * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(index);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = index - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-// ---------------------------------------------------------------------------
-// Socket client (same minimal NDJSON idiom as bench_serve_throughput).
-
-class LineClient {
- public:
-  explicit LineClient(const std::string& socket_path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    check(fd_ >= 0, "client socket() failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    check(socket_path.size() < sizeof(addr.sun_path),
-          "socket path too long for sockaddr_un");
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    int rc = -1;
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      rc = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr));
-      if (rc == 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    check(rc == 0,
-          "client connect() failed: " + std::string(std::strerror(errno)));
-  }
-
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  void send_line(const std::string& frame) {
-    std::string wire = frame;
-    wire.push_back('\n');
-    std::size_t off = 0;
-    while (off < wire.size()) {
-      const ssize_t n =
-          ::send(fd_, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-      check(n > 0, "client send() failed");
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::string recv_line() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      check(n > 0, "client recv() failed (connection closed early?)");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-std::string unique_socket_path(const char* tag) {
-  const char* tmp = std::getenv("TMPDIR");
-  std::ostringstream os;
-  os << ((tmp != nullptr && tmp[0] != '\0') ? tmp : "/tmp")
-     << "/rtv-bench-" << tag << "-" << ::getpid() << ".sock";
-  return os.str();
-}
+using bench::check;
+using bench::LineClient;
+using bench::ms_since;
 
 // ---------------------------------------------------------------------------
 // Workload.
@@ -296,8 +188,6 @@ LoadPoint run_load_point(const std::string& socket_path,
     check(validate_response(doc).empty() && doc.find("ok")->as_bool(),
           "health probe failed mid-flood");
     health_ms = ms_since(t0);
-    check(health_ms < kMaxHealthMs,
-          "health probe took " + std::to_string(health_ms) + "ms mid-flood");
   }
   for (std::thread& t : threads) t.join();
 
@@ -312,8 +202,8 @@ LoadPoint run_load_point(const std::string& socket_path,
   point.goodput_per_sec =
       static_cast<double>(ok_count) / (point.wall_ms / 1000.0);
   std::sort(ok_latencies.begin(), ok_latencies.end());
-  point.p50_ms = percentile(ok_latencies, 0.50);
-  point.p99_ms = percentile(ok_latencies, 0.99);
+  point.p50_ms = bench::percentile(ok_latencies, 0.50);
+  point.p99_ms = bench::percentile(ok_latencies, 0.99);
   point.health_ms = health_ms;
   check(point.ok + point.shed == point.offered,
         "answered " + std::to_string(point.ok + point.shed) + " of " +
@@ -324,79 +214,8 @@ LoadPoint run_load_point(const std::string& socket_path,
 // ---------------------------------------------------------------------------
 // Report.
 
-std::string render_bench_json(const std::vector<LoadPoint>& points,
-                              double goodput_ratio) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"serve_overload\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"service_ms\": " << kServiceMs << ",\n";
-  os << "  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const LoadPoint& p = points[i];
-    os << "    {\"load_multiple\": " << p.multiple
-       << ", \"offered\": " << p.offered
-       << ", \"offered_per_sec\": " << p.offered_per_sec
-       << ", \"ok\": " << p.ok << ", \"shed\": " << p.shed
-       << ", \"goodput_per_sec\": " << p.goodput_per_sec
-       << ", \"p50_ms\": " << p.p50_ms << ", \"p99_ms\": " << p.p99_ms
-       << ", \"health_ms\": " << p.health_ms << "}"
-       << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  os << "  \"contracts\": {\n";
-  os << "    \"max_accepted_p99_ms\": " << kMaxAcceptedP99Ms << ",\n";
-  os << "    \"min_goodput_ratio\": " << kMinGoodputRatio << ",\n";
-  os << "    \"goodput_ratio_4x\": " << goodput_ratio << "\n";
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
-}
-
-void validate_bench_json(const std::string& path, std::size_t n_points) {
-  std::ifstream in(path);
-  check(in.good(), "cannot re-read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  JsonValue doc;
-  try {
-    doc = parse_json(buf.str());
-  } catch (const Error& e) {
-    fail(path + " is not valid JSON: " + e.what());
-  }
-  const JsonValue* name = doc.find("benchmark");
-  check(name != nullptr && name->is_string() &&
-            name->as_string() == "serve_overload",
-        "benchmark name mismatch in " + path);
-  const JsonValue* points = doc.find("points");
-  check(points != nullptr && points->is_array() &&
-            points->as_array().size() == n_points,
-        "points array mismatch in " + path);
-  for (const JsonValue& p : points->as_array()) {
-    for (const char* key :
-         {"load_multiple", "offered", "offered_per_sec", "ok", "shed",
-          "goodput_per_sec", "p50_ms", "p99_ms", "health_ms"}) {
-      const JsonValue* v = p.find(key);
-      check(v != nullptr && v->is_number() && v->as_number() >= 0.0,
-            std::string("load point missing numeric \"") + key + "\"");
-    }
-    check(p.find("goodput_per_sec")->as_number() > 0.0,
-          "goodput must be positive at every load point");
-    check(p.find("p99_ms")->as_number() <= kMaxAcceptedP99Ms,
-          "accepted-job p99 above contract in " + path);
-  }
-  const JsonValue* contracts = doc.find("contracts");
-  check(contracts != nullptr && contracts->is_object(),
-        "missing contracts object");
-  check(contracts->find("goodput_ratio_4x")->as_number() >=
-            contracts->find("min_goodput_ratio")->as_number(),
-        "goodput ratio below contract minimum in " + path);
-}
-
 void report() {
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
   bench::heading("serve_overload",
                  "rtv serve: load shedding and goodput past saturation");
 
@@ -406,7 +225,7 @@ void report() {
   options.admission_queue = 4;
   options.chaos_hooks = true;  // deterministic kServiceMs spin jobs
   Server server(options);
-  const std::string socket_path = unique_socket_path("overload");
+  const std::string socket_path = bench::unique_socket_path("overload");
   std::thread server_thread([&] { server.serve_socket(socket_path); });
 
   // Nominal capacity: slots / service time. The spin job sleeps in 1ms
@@ -418,20 +237,43 @@ void report() {
   const double window_sec = smoke ? 1.0 : 2.5;
   const std::string design = json_escape(write_rnl(figure1_original()));
 
+  bench::Report report("serve_overload");
   std::vector<LoadPoint> points;
   for (const double multiple : {1.0, 2.0, 4.0}) {
+    const std::string w =
+        "load=" + std::to_string(static_cast<int>(multiple)) + "x";
+    report.gate({w, "serve", "p99_ms"}, bench::Gate::max(kMaxAcceptedP99Ms));
+    report.gate({w, "serve", "goodput_per_sec"}, bench::Gate::above(0.0));
+    if (multiple >= 2.0) {
+      // Shedding past saturation: the queue is bounded.
+      report.gate({w, "serve", "shed"}, bench::Gate::min(1.0));
+    }
+    if (multiple == 4.0) {
+      report.gate({w, "serve", "health_ms"}, bench::Gate::below(kMaxHealthMs));
+    }
     points.push_back(run_load_point(socket_path, design, capacity_per_sec,
                                     multiple, window_sec,
                                     /*probe_health=*/multiple == 4.0));
     const LoadPoint& p = points.back();
     std::ostringstream os;
     os.precision(4);
-    os << "  load=" << p.multiple << "x  offered=" << p.offered << " ("
+    os << "  " << w << "  offered=" << p.offered << " ("
        << p.offered_per_sec << "/s)  ok=" << p.ok << "  shed=" << p.shed
        << "  goodput=" << p.goodput_per_sec << "/s  p50=" << p.p50_ms
        << "ms  p99=" << p.p99_ms << "ms";
     if (p.health_ms > 0.0) os << "  health=" << p.health_ms << "ms";
     bench::line(os.str());
+    report.add({w, "serve", "offered"}, static_cast<double>(p.offered),
+               "count");
+    report.add({w, "serve", "offered_per_sec"}, p.offered_per_sec, "1/s");
+    report.add({w, "serve", "ok"}, static_cast<double>(p.ok), "count");
+    report.add({w, "serve", "shed"}, static_cast<double>(p.shed), "count");
+    report.add({w, "serve", "goodput_per_sec"}, p.goodput_per_sec, "1/s");
+    report.add({w, "serve", "p50_ms"}, p.p50_ms, "ms");
+    report.add({w, "serve", "p99_ms"}, p.p99_ms, "ms");
+    if (p.health_ms > 0.0) {
+      report.add({w, "serve", "health_ms"}, p.health_ms, "ms");
+    }
   }
 
   {
@@ -444,39 +286,18 @@ void report() {
   }
   server_thread.join();
 
-  // Contracts 2-4 (contract 1, exactly-once, is checked per point; 5,
-  // health, inside the 4x point).
-  for (const LoadPoint& p : points) {
-    if (p.multiple >= 2.0) {
-      check(p.shed > 0, "no shedding at " + std::to_string(p.multiple) +
-                            "x load: the queue cannot be bounded");
-    }
-    check(p.p99_ms <= kMaxAcceptedP99Ms,
-          "accepted-job p99 " + std::to_string(p.p99_ms) + "ms at " +
-              std::to_string(p.multiple) + "x exceeds " +
-              std::to_string(kMaxAcceptedP99Ms) + "ms");
-  }
-  const double goodput_ratio =
-      points.back().goodput_per_sec / points.front().goodput_per_sec;
-  check(goodput_ratio >= kMinGoodputRatio,
-        "goodput collapsed past saturation: 4x/1x ratio " +
-            std::to_string(goodput_ratio) + " < " +
-            std::to_string(kMinGoodputRatio));
+  report.gate({"load=4x/1x", "serve", "goodput_ratio"},
+              bench::Gate::min(kMinGoodputRatio));
+  report.add({"load=4x/1x", "serve", "goodput_ratio"},
+             points.back().goodput_per_sec / points.front().goodput_per_sec,
+             "x");
 
   const ServeStats stats = server.stats();
   check(stats.jobs_shed > 0, "server stats must record the shedding");
   check(stats.jobs_accepted == stats.jobs_done + stats.jobs_failed,
         "counter invariant broken at quiescence");
-
-  const std::string path = bench_json_path();
-  {
-    std::ofstream out(path);
-    check(out.good(), "cannot write " + path);
-    out << render_bench_json(points, goodput_ratio);
-  }
-  validate_bench_json(path, points.size());
   bench::line("");
-  bench::line("  wrote " + path + " (schema validated)");
+  report.emit("BENCH_serve_overload.json");
 }
 
 }  // namespace

@@ -3,33 +3,25 @@
 // The report drives 1..64 concurrent clients through a real Unix-domain
 // socket (the production transport, not handle_line), each client running
 // a closed loop over a fixed lint/simulate/faultsim mix, and records
-// jobs/sec plus p50/p95/p99 latency per sweep point. Two contracts are
-// asserted, and the binary exits non-zero when either fails or when the
-// BENCH_serve.json it writes does not match its own schema:
+// jobs/sec plus p50/p95/p99 latency per sweep point. Two contracts; the
+// binary exits non-zero when either fails:
 //
-//  1. Correctness under concurrency — every request id is answered exactly
-//     once, every response validates against the wire schema with ok:true,
-//     and each job type's result JSON is byte-identical across all clients
-//     and sweep points (the service is deterministic).
-//  2. The design cache earns its keep — a warm server (default cache)
-//     must beat a cold server (cache_bytes=0, every job re-parses) by at
-//     least kMinCacheSpeedup on a parse-dominated lint workload.
+//  1. Correctness under concurrency (checked in-run) — every request id is
+//     answered exactly once, every response validates against the wire
+//     schema with ok:true, no job fails, and each job type's result JSON
+//     is byte-identical across all clients and sweep points (the service
+//     is deterministic).
+//  2. Throughput and the design cache (gated rows of BENCH_serve.json, the
+//     shared row schema of bench_util.hpp) — jobs/sec is positive at every
+//     sweep point, and a warm server (default cache) beats a cold server
+//     (cache_bytes=0, every job re-parses) by at least kMinCacheSpeedup on
+//     a parse-dominated lint workload.
 //
-// Under RTV_BENCH_SMOKE=1 the sweep shrinks (CI smoke); RTV_BENCH_JSON
-// overrides the report path.
-
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
+// Under RTV_BENCH_SMOKE=1 the sweep shrinks (CI smoke).
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -39,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "line_client.hpp"
 #include "gen/datapath.hpp"
 #include "io/json.hpp"
 #include "io/rnl_format.hpp"
@@ -52,107 +45,12 @@ using namespace rtv;
 using namespace rtv::serve;
 using Clock = std::chrono::steady_clock;
 
-bool smoke_mode() {
-  const char* v = std::getenv("RTV_BENCH_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-std::string bench_json_path() {
-  const char* v = std::getenv("RTV_BENCH_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_serve.json";
-}
+using bench::check;
+using bench::LineClient;
+using bench::ms_since;
 
 /// Warm must beat cold by at least this factor on the cache workload.
 constexpr double kMinCacheSpeedup = 1.3;
-
-[[noreturn]] void fail(const std::string& what) {
-  std::fprintf(stderr, "bench_serve_throughput: CONTRACT VIOLATION: %s\n",
-               what.c_str());
-  std::exit(1);
-}
-
-void check(bool ok, const std::string& what) {
-  if (!ok) fail(what);
-}
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-// ---------------------------------------------------------------------------
-// A minimal NDJSON client over a Unix-domain socket: one blocking
-// connection, send_line / recv_line with an internal read buffer.
-
-class LineClient {
- public:
-  explicit LineClient(const std::string& socket_path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    check(fd_ >= 0, "client socket() failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    check(socket_path.size() < sizeof(addr.sun_path),
-          "socket path too long for sockaddr_un");
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    // The server binds before clients start, but give the accept loop a
-    // moment under load anyway.
-    int rc = -1;
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      rc = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr));
-      if (rc == 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    check(rc == 0, "client connect() failed: " +
-                       std::string(std::strerror(errno)));
-  }
-
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  void send_line(const std::string& frame) {
-    std::string wire = frame;
-    wire.push_back('\n');
-    std::size_t off = 0;
-    while (off < wire.size()) {
-      const ssize_t n =
-          ::send(fd_, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-      check(n > 0, "client send() failed");
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::string recv_line() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      check(n > 0, "client recv() failed (connection closed early?)");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-std::string unique_socket_path(const char* tag) {
-  const char* tmp = std::getenv("TMPDIR");
-  std::ostringstream os;
-  os << ((tmp != nullptr && tmp[0] != '\0') ? tmp : "/tmp") << "/rtv-bench-"
-     << tag << "-" << ::getpid() << ".sock";
-  return os.str();
-}
 
 // ---------------------------------------------------------------------------
 // Workload frames.
@@ -217,7 +115,6 @@ ParsedResponse parse_and_validate(const std::string& line) {
 // Sweep: N closed-loop clients over the socket.
 
 struct SweepPoint {
-  unsigned clients = 0;
   std::uint64_t jobs = 0;
   double wall_ms = 0.0;
   double jobs_per_sec = 0.0;
@@ -225,15 +122,6 @@ struct SweepPoint {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
 };
-
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
 
 SweepPoint run_sweep_point(const std::string& socket_path,
                            const std::string& design_json,
@@ -286,15 +174,14 @@ SweepPoint run_sweep_point(const std::string& socket_path,
   for (std::thread& t : threads) t.join();
 
   SweepPoint point;
-  point.clients = clients;
   point.jobs = std::uint64_t{clients} * jobs_per_client;
   point.wall_ms = ms_since(sweep_start);
   point.jobs_per_sec =
       static_cast<double>(point.jobs) / (point.wall_ms / 1000.0);
   std::sort(all_latencies.begin(), all_latencies.end());
-  point.p50_ms = percentile(all_latencies, 0.50);
-  point.p95_ms = percentile(all_latencies, 0.95);
-  point.p99_ms = percentile(all_latencies, 0.99);
+  point.p50_ms = bench::percentile(all_latencies, 0.50);
+  point.p95_ms = bench::percentile(all_latencies, 0.95);
+  point.p99_ms = bench::percentile(all_latencies, 0.99);
   check(answered_ids.size() == point.jobs,
         "expected " + std::to_string(point.jobs) + " answered ids, got " +
             std::to_string(answered_ids.size()));
@@ -363,76 +250,8 @@ CacheResult run_cache_contrast(bool smoke) {
 // ---------------------------------------------------------------------------
 // Report.
 
-std::string render_bench_json(const std::vector<SweepPoint>& sweep,
-                              const CacheResult& cache) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"serve_throughput\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    os << "    {\"clients\": " << p.clients << ", \"jobs\": " << p.jobs
-       << ", \"jobs_per_sec\": " << p.jobs_per_sec
-       << ", \"p50_ms\": " << p.p50_ms << ", \"p95_ms\": " << p.p95_ms
-       << ", \"p99_ms\": " << p.p99_ms << "}"
-       << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  os << "  \"cache\": {\n";
-  os << "    \"jobs\": " << cache.jobs << ",\n";
-  os << "    \"warm_jobs_per_sec\": " << cache.warm_jobs_per_sec << ",\n";
-  os << "    \"cold_jobs_per_sec\": " << cache.cold_jobs_per_sec << ",\n";
-  os << "    \"speedup\": " << cache.speedup << ",\n";
-  os << "    \"min_speedup\": " << kMinCacheSpeedup << "\n";
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
-}
-
-void validate_bench_json(const std::string& path,
-                         const std::vector<SweepPoint>& sweep) {
-  std::ifstream in(path);
-  check(in.good(), "cannot re-read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  JsonValue doc;
-  try {
-    doc = parse_json(buf.str());
-  } catch (const Error& e) {
-    fail(path + " is not valid JSON: " + e.what());
-  }
-  const JsonValue* name = doc.find("benchmark");
-  check(name != nullptr && name->is_string() &&
-            name->as_string() == "serve_throughput",
-        "benchmark name mismatch in " + path);
-  const JsonValue* points = doc.find("sweep");
-  check(points != nullptr && points->is_array() &&
-            points->as_array().size() == sweep.size(),
-        "sweep array mismatch in " + path);
-  for (const JsonValue& p : points->as_array()) {
-    for (const char* key :
-         {"clients", "jobs", "jobs_per_sec", "p50_ms", "p95_ms", "p99_ms"}) {
-      const JsonValue* v = p.find(key);
-      check(v != nullptr && v->is_number() && v->as_number() >= 0.0,
-            std::string("sweep point missing numeric \"") + key + "\"");
-    }
-    check(p.find("jobs_per_sec")->as_number() > 0.0,
-          "jobs_per_sec must be positive");
-  }
-  const JsonValue* cache = doc.find("cache");
-  check(cache != nullptr && cache->is_object(), "missing cache object");
-  const double speedup = cache->find("speedup")->as_number();
-  const double min_speedup = cache->find("min_speedup")->as_number();
-  check(speedup >= min_speedup,
-        "cache speedup " + std::to_string(speedup) +
-            " below contract minimum " + std::to_string(min_speedup));
-}
-
 void report() {
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
   bench::heading("serve_throughput",
                  "rtv serve: concurrent-client throughput and cache value");
 
@@ -453,7 +272,7 @@ void report() {
   options.threads = smoke ? 2 : 4;
   options.max_inflight = 64;
   Server server(options);
-  const std::string socket_path = unique_socket_path("serve");
+  const std::string socket_path = bench::unique_socket_path("serve");
   std::thread server_thread([&] { server.serve_socket(socket_path); });
 
   const std::vector<unsigned> client_counts =
@@ -461,18 +280,25 @@ void report() {
             : std::vector<unsigned>{1, 2, 4, 8, 16, 32, 64};
   const unsigned jobs_per_client = smoke ? 9 : 30;
 
-  std::vector<SweepPoint> sweep;
+  bench::Report report("serve_throughput");
   std::map<std::string, std::string> results_by_type;
   for (unsigned clients : client_counts) {
-    sweep.push_back(run_sweep_point(socket_path, design_json, mix, clients,
-                                    jobs_per_client, &results_by_type));
-    const SweepPoint& p = sweep.back();
+    const std::string w = "clients=" + std::to_string(clients);
+    report.gate({w, "serve", "jobs_per_sec"}, bench::Gate::above(0.0));
+    const SweepPoint p =
+        run_sweep_point(socket_path, design_json, mix, clients,
+                        jobs_per_client, &results_by_type);
     std::ostringstream os;
     os.precision(4);
-    os << "  clients=" << p.clients << "  jobs=" << p.jobs
-       << "  jobs/s=" << p.jobs_per_sec << "  p50=" << p.p50_ms
-       << "ms  p95=" << p.p95_ms << "ms  p99=" << p.p99_ms << "ms";
+    os << "  " << w << "  jobs=" << p.jobs << "  jobs/s=" << p.jobs_per_sec
+       << "  p50=" << p.p50_ms << "ms  p95=" << p.p95_ms
+       << "ms  p99=" << p.p99_ms << "ms";
     bench::line(os.str());
+    report.add({w, "serve", "jobs"}, static_cast<double>(p.jobs), "count");
+    report.add({w, "serve", "jobs_per_sec"}, p.jobs_per_sec, "1/s");
+    report.add({w, "serve", "p50_ms"}, p.p50_ms, "ms");
+    report.add({w, "serve", "p95_ms"}, p.p95_ms, "ms");
+    report.add({w, "serve", "p99_ms"}, p.p99_ms, "ms");
   }
   check(results_by_type.size() == mix.size(),
         "expected one canonical result per job type");
@@ -493,6 +319,8 @@ void report() {
   check(final_stats.jobs_failed == 0, "no job may fail in this workload");
 
   bench::line("");
+  report.gate({"cache", "serve", "speedup"},
+              bench::Gate::min(kMinCacheSpeedup));
   const CacheResult cache = run_cache_contrast(smoke);
   {
     std::ostringstream os;
@@ -503,19 +331,14 @@ void report() {
        << kMinCacheSpeedup << "x)";
     bench::line(os.str());
   }
-  check(cache.speedup >= kMinCacheSpeedup,
-        "warm cache speedup " + std::to_string(cache.speedup) +
-            "x below the " + std::to_string(kMinCacheSpeedup) +
-            "x contract");
-
-  const std::string path = bench_json_path();
-  {
-    std::ofstream out(path);
-    check(out.good(), "cannot write " + path);
-    out << render_bench_json(sweep, cache);
-  }
-  validate_bench_json(path, sweep);
-  bench::line("  wrote " + path + " (schema validated)");
+  report.add({"cache", "serve", "jobs"}, static_cast<double>(cache.jobs),
+             "count");
+  report.add({"cache", "serve", "warm_jobs_per_sec"}, cache.warm_jobs_per_sec,
+             "1/s");
+  report.add({"cache", "serve", "cold_jobs_per_sec"}, cache.cold_jobs_per_sec,
+             "1/s");
+  report.add({"cache", "serve", "speedup"}, cache.speedup, "x");
+  report.emit("BENCH_serve.json");
 }
 
 // ---------------------------------------------------------------------------

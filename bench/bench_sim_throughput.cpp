@@ -2,18 +2,14 @@
 // (the packed ternary engine on definite lanes) vs conservative 3-valued
 // (CLS, scalar and packed) vs exact 3-valued.
 //
-// Besides the console tables, the report emits a machine-readable
-// BENCH_sim.json (path overridable via RTV_BENCH_JSON) recording
-// scalar-vs-packed CLS pattern throughput so the performance trajectory is
-// trackable across commits; docs/performance.md documents the methodology
-// and the schema. RTV_BENCH_SMOKE=1 shrinks every workload so CI can run
-// the report (and validate the JSON) in seconds.
+// Besides the console tables, the report writes BENCH_sim.json (the
+// shared row schema, bench_util.hpp) recording scalar-vs-packed CLS
+// pattern throughput, gated on a positive speedup per workload;
+// docs/performance.md documents the methodology. RTV_BENCH_SMOKE=1
+// shrinks every workload so CI can run the report in seconds.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,11 +26,6 @@
 namespace rtv {
 
 namespace {
-
-bool smoke_mode() {
-  const char* v = std::getenv("RTV_BENCH_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 Netlist workload(unsigned gates, std::uint64_t seed) {
   Rng rng(seed);
@@ -113,93 +104,24 @@ PackedRow measure_packed_vs_scalar(const std::string& name, const Netlist& n,
   return row;
 }
 
-std::string bench_json_path() {
-  const char* v = std::getenv("RTV_BENCH_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_sim.json";
-}
-
-std::string render_bench_json(const std::vector<PackedRow>& rows) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"sim_throughput\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"lanes_per_word\": " << PackedTernarySimulator::kLanesPerWord
-     << ",\n";
-  os << "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PackedRow& r = rows[i];
-    os << "    {\n";
-    os << "      \"name\": \"" << r.name << "\",\n";
-    os << "      \"gates\": " << r.gates << ",\n";
-    os << "      \"latches\": " << r.latches << ",\n";
-    os << "      \"patterns\": " << r.patterns << ",\n";
-    os << "      \"cycles\": " << r.cycles << ",\n";
-    os << "      \"scalar_cls_patterns_per_sec\": " << r.scalar_pps << ",\n";
-    os << "      \"packed_cls_patterns_per_sec\": " << r.packed_pps << ",\n";
-    os << "      \"speedup\": " << r.speedup << "\n";
-    os << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
-}
-
-/// Minimal schema check of the emitted JSON (no JSON library in the image):
-/// all required keys present, braces/brackets balanced, at least one
-/// workload, every speedup positive. Returns an error description or "".
-std::string validate_bench_json(const std::string& text) {
-  for (const char* key :
-       {"\"benchmark\"", "\"schema_version\"", "\"smoke\"",
-        "\"lanes_per_word\"", "\"workloads\"", "\"name\"", "\"gates\"",
-        "\"latches\"", "\"patterns\"", "\"cycles\"",
-        "\"scalar_cls_patterns_per_sec\"", "\"packed_cls_patterns_per_sec\"",
-        "\"speedup\""}) {
-    if (text.find(key) == std::string::npos) {
-      return std::string("missing key ") + key;
-    }
-  }
-  long depth_brace = 0, depth_bracket = 0;
-  for (char c : text) {
-    if (c == '{') ++depth_brace;
-    if (c == '}') --depth_brace;
-    if (c == '[') ++depth_bracket;
-    if (c == ']') --depth_bracket;
-    if (depth_brace < 0 || depth_bracket < 0) return "unbalanced nesting";
-  }
-  if (depth_brace != 0 || depth_bracket != 0) return "unbalanced nesting";
-  std::size_t pos = 0;
-  unsigned speedups = 0;
-  while ((pos = text.find("\"speedup\":", pos)) != std::string::npos) {
-    pos += 10;
-    const double v = std::strtod(text.c_str() + pos, nullptr);
-    if (!(v > 0.0)) return "non-positive speedup";
-    ++speedups;
-  }
-  if (speedups == 0) return "no workloads";
-  return "";
-}
-
-void report_packed(std::vector<PackedRow>* rows_out) {
+void report_packed(bench::Report* report) {
   bench::heading("E11b / packed CLS",
                  "pattern-cycles per second: scalar ClsSimulator vs the "
                  "64-lane packed ternary engine");
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
   const unsigned patterns = smoke ? 64 : 256;
   const unsigned cycles = smoke ? 4 : 64;
 
   std::vector<PackedRow> rows;
-  rows.push_back(measure_packed_vs_scalar("shift64", shift_register(64),
-                                          patterns, cycles));
-  rows.push_back(measure_packed_vs_scalar("twisted64", twisted_ring(64),
-                                          patterns, cycles));
-  rows.push_back(measure_packed_vs_scalar(
-      "adder32x4", pipelined_adder(32, 4), patterns, cycles));
-  rows.push_back(measure_packed_vs_scalar(
-      "ctrl_datapath64", controller_datapath(64), patterns, cycles));
-  rows.push_back(measure_packed_vs_scalar(
-      "random2048", workload(2048, 42), patterns, cycles));
+  const auto measure = [&](const std::string& name, const Netlist& n) {
+    report->gate({name, "sim", "speedup"}, bench::Gate::above(0.0));
+    rows.push_back(measure_packed_vs_scalar(name, n, patterns, cycles));
+  };
+  measure("shift64", shift_register(64));
+  measure("twisted64", twisted_ring(64));
+  measure("adder32x4", pipelined_adder(32, 4));
+  measure("ctrl_datapath64", controller_datapath(64));
+  measure("random2048", workload(2048, 42));
 
   std::printf("%-16s %-8s %-8s %-14s %-14s %-8s\n", "workload", "gates",
               "latches", "scalar pat/s", "packed pat/s", "speedup");
@@ -210,35 +132,24 @@ void report_packed(std::vector<PackedRow>* rows_out) {
   std::printf("(%u patterns x %u cycles per workload, random ternary "
               "inputs, all-X power-up on both engines)\n",
               patterns, cycles);
-  *rows_out = std::move(rows);
-}
-
-void emit_bench_json(const std::vector<PackedRow>& rows) {
-  const std::string path = bench_json_path();
-  {
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    f << render_bench_json(rows);
+  for (const PackedRow& r : rows) {
+    report->add({r.name, "sim", "gates"}, static_cast<double>(r.gates), "count");
+    report->add({r.name, "sim", "latches"}, static_cast<double>(r.latches),
+                "count");
+    report->add({r.name, "sim", "patterns"}, r.patterns, "count");
+    report->add({r.name, "sim", "cycles"}, r.cycles, "count");
+    report->add({r.name, "sim", "scalar_cls_patterns_per_sec"}, r.scalar_pps,
+                "1/s");
+    report->add({r.name, "sim", "packed_cls_patterns_per_sec"}, r.packed_pps,
+                "1/s");
+    report->add({r.name, "sim", "speedup"}, r.speedup, "x");
   }
-  std::ifstream f(path);
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  const std::string problem = validate_bench_json(buffer.str());
-  if (!problem.empty()) {
-    std::fprintf(stderr, "error: %s fails schema check: %s\n", path.c_str(),
-                 problem.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s (schema ok)\n", path.c_str());
 }
 
 }  // namespace
 
 void report() {
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
   bench::heading("E11 / simulators",
                  "gate-evaluations per second by simulator kind");
   std::printf("%-10s %-10s %-14s %-14s %-14s\n", "gates", "latches",
@@ -288,9 +199,9 @@ void report() {
               "exact 3-valued simulation is benchmarked below — its cost\n"
               "scales with the tracked power-up state-set size)\n");
 
-  std::vector<PackedRow> rows;
-  report_packed(&rows);
-  emit_bench_json(rows);
+  bench::Report report("sim_throughput");
+  report_packed(&report);
+  report.emit("BENCH_sim.json");
 }
 
 namespace {

@@ -4,22 +4,18 @@
 // implication at latch counts where explicit 2^L enumeration is infeasible.
 //
 // The report times reachable() and states_after_delay(2) through BOTH image
-// paths per workload, cross-checks that the two agree on every state count
-// before writing anything, and emits machine-readable BENCH_symbolic.json
-// (path overridable via RTV_BENCH_JSON). The binary re-reads the file and
-// schema-checks it, exiting non-zero when the partitioned path fails the
-// contract: the `random L=28` workload must complete within the default
-// node limit (no capacity row) at a >= 3x wall-time speedup over the
-// monolithic path. Workloads that do blow a limit are reported honestly —
-// both CapacityError and ResourceExhausted rows (a budgeted run degrades,
-// it does not abort the whole report). RTV_BENCH_SMOKE=1 drops the stretch
+// paths per workload, exits non-zero if the two disagree on any state
+// count, and writes BENCH_symbolic.json (the shared row schema,
+// bench_util.hpp) with the reordering rows below. Its gates: the
+// `random L=28` workload must complete within the default node limit
+// (status "ok") at a >= 3x wall-time speedup over the monolithic path.
+// Workloads that do blow a limit are reported honestly — both
+// CapacityError and ResourceExhausted rows (a budgeted run degrades, it
+// does not abort the whole report). RTV_BENCH_SMOKE=1 drops the stretch
 // workloads so CI runs the report in seconds.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,11 +36,6 @@ namespace {
 
 constexpr double kRequiredSpeedup = 3.0;
 
-bool smoke_mode() {
-  const char* v = std::getenv("RTV_BENCH_SMOKE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
 Netlist wide_random(unsigned latches, std::uint64_t seed) {
   Rng rng(seed);
   RandomCircuitOptions opt;
@@ -55,12 +46,6 @@ Netlist wide_random(unsigned latches, std::uint64_t seed) {
   opt.max_fanin = 2;
   opt.latch_after_gate_probability = 0.0;
   return random_netlist(opt, rng);
-}
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 /// One image path's measurements on one workload. status is "ok",
@@ -95,7 +80,7 @@ PathResult run_path(const Netlist& n, bool monolithic) {
     const BddManager::Ref init = sm.state_cube(Bits(n.num_latches(), 0));
     const BddManager::Ref reach =
         monolithic ? sm.reachable_monolithic(init) : sm.reachable(init);
-    r.reach_ms = ms_since(t0);
+    r.reach_ms = bench::ms_since(t0);
     r.reach_states = sm.count_states(reach);
 
     const auto t1 = std::chrono::steady_clock::now();
@@ -109,7 +94,7 @@ PathResult run_path(const Netlist& n, bool monolithic) {
     } else {
       delayed = sm.states_after_delay(2);
     }
-    r.delay2_ms = ms_since(t1);
+    r.delay2_ms = bench::ms_since(t1);
     r.delay2_states = sm.count_states(delayed);
     r.peak_nodes = sm.manager().num_nodes();
   } catch (const CapacityError&) {
@@ -117,12 +102,12 @@ PathResult run_path(const Netlist& n, bool monolithic) {
     // the blowup honestly (elapsed time is a lower bound) instead of hiding
     // the workload or aborting the report.
     r.status = "capacity";
-    r.reach_ms = ms_since(t0);
+    r.reach_ms = bench::ms_since(t0);
   } catch (const ResourceExhausted&) {
     // A budgeted run (e.g. under the fault-injection harness) degrades to a
     // labeled partial row, never an aborted report.
     r.status = "exhausted";
-    r.reach_ms = ms_since(t0);
+    r.reach_ms = bench::ms_since(t0);
   }
   return r;
 }
@@ -141,10 +126,12 @@ WorkloadRow run_workload(const std::string& name, const Netlist& n) {
     row.speedup_reach = row.monolithic.reach_ms / row.partitioned.reach_ms;
   }
   if (row.partitioned.status == "ok" && row.monolithic.status == "ok") {
-    const bool agree =
+    bench::check(
         row.partitioned.reach_states == row.monolithic.reach_states &&
-        row.partitioned.delay2_states == row.monolithic.delay2_states;
-    row.cross_check = agree ? "ok" : "MISMATCH";
+            row.partitioned.delay2_states == row.monolithic.delay2_states,
+        name + ": partitioned and monolithic image paths disagree on a "
+               "state set");
+    row.cross_check = "ok";
   }
   return row;
 }
@@ -164,121 +151,10 @@ std::vector<WorkloadRow> run_report(bool smoke) {
   return rows;
 }
 
-std::string bench_json_path() {
-  const char* v = std::getenv("RTV_BENCH_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_symbolic.json";
-}
-
-void render_path(std::ostringstream& os, const char* key,
-                 const PathResult& r, const char* trailing) {
-  os << "      \"" << key << "\": {\"status\": \"" << r.status
-     << "\", \"reach_ms\": " << r.reach_ms
-     << ", \"reach_states\": " << r.reach_states
-     << ", \"delay2_ms\": " << r.delay2_ms
-     << ", \"delay2_states\": " << r.delay2_states
-     << ", \"peak_nodes\": " << r.peak_nodes << "}" << trailing << "\n";
-}
-
-std::string render_bench_json(const std::vector<WorkloadRow>& rows) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"symbolic_image\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"node_limit\": " << kDefaultBddNodeLimit << ",\n";
-  os << "  \"required_speedup\": " << kRequiredSpeedup << ",\n";
-  os << "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const WorkloadRow& r = rows[i];
-    os << "    {\n";
-    os << "      \"name\": \"" << r.name << "\",\n";
-    os << "      \"latches\": " << r.latches << ",\n";
-    os << "      \"clusters\": " << r.clusters << ",\n";
-    render_path(os, "partitioned", r.partitioned, ",");
-    render_path(os, "monolithic", r.monolithic, ",");
-    os << "      \"speedup_reach\": " << r.speedup_reach << ",\n";
-    os << "      \"cross_check\": \"" << r.cross_check << "\"\n";
-    os << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
-}
-
-/// Minimal schema check (no JSON library in the image): required keys,
-/// balanced nesting, no cross-check mismatch anywhere, and the L=28
-/// contract — partitioned status ok with speedup_reach >= 3.
-std::string validate_bench_json(const std::string& text) {
-  for (const char* key :
-       {"\"benchmark\"", "\"schema_version\"", "\"smoke\"", "\"node_limit\"",
-        "\"required_speedup\"", "\"workloads\"", "\"name\"", "\"latches\"",
-        "\"clusters\"", "\"partitioned\"", "\"monolithic\"", "\"status\"",
-        "\"reach_ms\"", "\"reach_states\"", "\"delay2_ms\"",
-        "\"delay2_states\"", "\"peak_nodes\"", "\"speedup_reach\"",
-        "\"cross_check\""}) {
-    if (text.find(key) == std::string::npos) {
-      return std::string("missing key ") + key;
-    }
-  }
-  long depth_brace = 0, depth_bracket = 0;
-  for (char c : text) {
-    if (c == '{') ++depth_brace;
-    if (c == '}') --depth_brace;
-    if (c == '[') ++depth_bracket;
-    if (c == ']') --depth_bracket;
-    if (depth_brace < 0 || depth_bracket < 0) return "unbalanced nesting";
-  }
-  if (depth_brace != 0 || depth_bracket != 0) return "unbalanced nesting";
-  if (text.find("\"MISMATCH\"") != std::string::npos) {
-    return "partitioned and monolithic image paths disagree on a state set";
-  }
-  const std::size_t l28 = text.find("\"random L=28\"");
-  if (l28 == std::string::npos) return "missing the random L=28 workload";
-  const std::size_t row_end = text.find("\"cross_check\"", l28);
-  const std::string row = text.substr(l28, row_end - l28);
-  const std::size_t part = row.find("\"partitioned\"");
-  if (part == std::string::npos) return "L=28 row lacks a partitioned path";
-  if (row.find("\"status\": \"ok\"", part) != row.find("\"status\"", part)) {
-    return "random L=28 did not complete within the default node limit";
-  }
-  const std::size_t sp = row.find("\"speedup_reach\": ");
-  if (sp == std::string::npos) return "L=28 row lacks speedup_reach";
-  const double speedup = std::atof(row.c_str() + sp + 17);
-  if (speedup < kRequiredSpeedup) {
-    return "random L=28 partitioned speedup " + std::to_string(speedup) +
-           "x is below the required " + std::to_string(kRequiredSpeedup) +
-           "x";
-  }
-  return "";
-}
-
-void emit_bench_json(const std::vector<WorkloadRow>& rows) {
-  const std::string path = bench_json_path();
-  {
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    f << render_bench_json(rows);
-  }
-  std::ifstream f(path);
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  const std::string problem = validate_bench_json(buffer.str());
-  if (!problem.empty()) {
-    std::fprintf(stderr, "error: %s fails schema check: %s\n", path.c_str(),
-                 problem.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s (schema ok)\n", path.c_str());
-}
-
 // ---------------------------------------------------------------------------
-// Dynamic reordering + GC report (BENCH_reorder.json)
+// Dynamic reordering + GC rows
 //
-// Three contracts, all self-validated before the binary exits:
+// Three contracts, all gated rows of the same report:
 //   * unlock — a pair-matcher CLS-equivalence whose interleaving-hostile
 //     input order exhausts kDefaultBddNodeLimit under the fixed order must
 //     be PROVEN once on-pressure sifting + GC are enabled;
@@ -352,7 +228,7 @@ double reach_l_workload(const Netlist& n, const ReorderOptions& reorder,
   BddManager& m = sm.manager();
   const BddHandle init = m.protect(sm.state_cube(Bits(n.num_latches(), 0)));
   const BddHandle reach = m.protect(sm.reachable(init.get()));
-  const double elapsed = ms_since(t0);
+  const double elapsed = bench::ms_since(t0);
   *states = sm.count_states(reach.get());
   *stats = m.stats();
   return elapsed;
@@ -367,14 +243,14 @@ ReorderReport run_reorder_report() {
   {
     auto t0 = std::chrono::steady_clock::now();
     const BddClsOutcome fixed = bdd_cls_equivalence(a, b, BddEquivOptions{});
-    r.fixed_ms = ms_since(t0);
+    r.fixed_ms = bench::ms_since(t0);
     r.fixed_verdict = to_string(fixed.verdict);
     BddEquivOptions on;
     on.gc = true;
     on.reorder.mode = ReorderMode::kOnPressure;
     t0 = std::chrono::steady_clock::now();
     const BddClsOutcome tuned = bdd_cls_equivalence(a, b, on);
-    r.tuned_ms = ms_since(t0);
+    r.tuned_ms = bench::ms_since(t0);
     r.tuned_verdict = to_string(tuned.verdict);
     r.tuned_gc_runs = tuned.engine.gc_runs;
     r.tuned_reorder_runs = tuned.engine.reorder_runs;
@@ -426,117 +302,6 @@ ReorderReport run_reorder_report() {
   return r;
 }
 
-std::string reorder_json_path() {
-  const char* v = std::getenv("RTV_BENCH_REORDER_JSON");
-  return (v != nullptr && v[0] != '\0') ? v : "BENCH_reorder.json";
-}
-
-std::string render_reorder_json(const ReorderReport& r) {
-  std::ostringstream os;
-  os.precision(6);
-  os << "{\n";
-  os << "  \"benchmark\": \"bdd_reorder\",\n";
-  os << "  \"schema_version\": 1,\n";
-  os << "  \"smoke\": " << (smoke_mode() ? "true" : "false") << ",\n";
-  os << "  \"node_limit\": " << kDefaultBddNodeLimit << ",\n";
-  os << "  \"unlock\": {\n";
-  os << "    \"workload\": \"pair_matcher n=24 cls-equivalence\",\n";
-  os << "    \"fixed\": {\"verdict\": \"" << r.fixed_verdict
-     << "\", \"ms\": " << r.fixed_ms << "},\n";
-  os << "    \"tuned\": {\"verdict\": \"" << r.tuned_verdict
-     << "\", \"ms\": " << r.tuned_ms << ", \"gc_runs\": " << r.tuned_gc_runs
-     << ", \"reorder_runs\": " << r.tuned_reorder_runs
-     << ", \"peak_live_nodes\": " << r.tuned_peak_live << "}\n";
-  os << "  },\n";
-  os << "  \"peak_reduction\": {\n";
-  os << "    \"workload\": \"random L=36 partitioned reachability\",\n";
-  os << "    \"base_peak_nodes\": " << r.base_peak_nodes << ",\n";
-  os << "    \"tuned_peak_live_nodes\": " << r.tuned_peak_live_nodes << ",\n";
-  os << "    \"reduction\": " << r.peak_reduction << ",\n";
-  os << "    \"required\": " << kRequiredPeakReduction << ",\n";
-  os << "    \"states_cross_check\": \"" << r.states_cross_check << "\"\n";
-  os << "  },\n";
-  os << "  \"fast_path\": {\n";
-  os << "    \"workload\": \"random L=28 partitioned reachability\",\n";
-  os << "    \"base_ms\": " << r.base_ms << ",\n";
-  os << "    \"idle_ms\": " << r.idle_ms << ",\n";
-  os << "    \"pressure_ms\": " << r.pressure_ms << ",\n";
-  os << "    \"overhead\": " << r.overhead << ",\n";
-  os << "    \"max_overhead\": " << kMaxFastPathOverhead << ",\n";
-  os << "    \"grace_ms\": " << kFastPathGraceMs << "\n";
-  os << "  }\n";
-  os << "}\n";
-  return os.str();
-}
-
-std::string validate_reorder_json(const std::string& text) {
-  for (const char* key :
-       {"\"benchmark\"", "\"schema_version\"", "\"node_limit\"",
-        "\"unlock\"", "\"fixed\"", "\"tuned\"", "\"verdict\"",
-        "\"peak_reduction\"", "\"base_peak_nodes\"",
-        "\"tuned_peak_live_nodes\"", "\"reduction\"",
-        "\"states_cross_check\"", "\"fast_path\"", "\"base_ms\"",
-        "\"idle_ms\"", "\"pressure_ms\"", "\"overhead\"", "\"gc_runs\"",
-        "\"reorder_runs\"", "\"peak_live_nodes\""}) {
-    if (text.find(key) == std::string::npos) {
-      return std::string("missing key ") + key;
-    }
-  }
-  const std::size_t fixed = text.find("\"fixed\"");
-  const std::size_t tuned = text.find("\"tuned\"");
-  if (text.find("\"verdict\": \"exhausted\"", fixed) != fixed + 10) {
-    return "fixed-order run did not exhaust the node limit";
-  }
-  if (text.find("\"verdict\": \"proven\"", tuned) != tuned + 10) {
-    return "reordering+GC run was not proven";
-  }
-  const std::size_t red = text.find("\"reduction\": ");
-  if (red == std::string::npos) return "missing reduction value";
-  if (std::atof(text.c_str() + red + 13) < kRequiredPeakReduction) {
-    return "L=36 peak live node reduction is below the required " +
-           std::to_string(kRequiredPeakReduction) + "x";
-  }
-  if (text.find("\"states_cross_check\": \"ok\"") == std::string::npos) {
-    return "reordered reachability disagrees with the default engine";
-  }
-  const std::size_t base = text.find("\"base_ms\": ");
-  const std::size_t idle = text.find("\"idle_ms\": ");
-  if (base == std::string::npos || idle == std::string::npos) {
-    return "missing fast-path timings";
-  }
-  const double base_ms = std::atof(text.c_str() + base + 11);
-  const double idle_ms = std::atof(text.c_str() + idle + 11);
-  if (idle_ms > base_ms * kMaxFastPathOverhead + kFastPathGraceMs) {
-    return "idle GC+reordering overhead " + std::to_string(idle_ms) +
-           " ms exceeds " + std::to_string(kMaxFastPathOverhead) + "x of " +
-           std::to_string(base_ms) + " ms (+2 ms grace) on the L=28 fast "
-           "path";
-  }
-  return "";
-}
-
-void emit_reorder_json(const ReorderReport& r) {
-  const std::string path = reorder_json_path();
-  {
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    f << render_reorder_json(r);
-  }
-  std::ifstream f(path);
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  const std::string problem = validate_reorder_json(buffer.str());
-  if (!problem.empty()) {
-    std::fprintf(stderr, "error: %s fails schema check: %s\n", path.c_str(),
-                 problem.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s (schema ok)\n", path.c_str());
-}
-
 void print_path(const char* label, const PathResult& r) {
   if (r.status == "ok") {
     std::printf("  %-12s reach %9.2f ms (%10.4g states)  delay-2 %9.2f ms "
@@ -549,17 +314,67 @@ void print_path(const char* label, const PathResult& r) {
   }
 }
 
-}  // namespace
-
-bool reorder_only_mode() {
-  const char* v = std::getenv("RTV_BENCH_REORDER_ONLY");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
+void add_path(bench::Report* report, const std::string& workload,
+              const std::string& path, const PathResult& r) {
+  report->add_label({workload, "bdd", path + ".status"}, r.status);
+  report->add({workload, "bdd", path + ".reach_ms"}, r.reach_ms, "ms");
+  report->add({workload, "bdd", path + ".reach_states"}, r.reach_states,
+              "count");
+  report->add({workload, "bdd", path + ".delay2_ms"}, r.delay2_ms, "ms");
+  report->add({workload, "bdd", path + ".delay2_states"}, r.delay2_states,
+              "count");
+  report->add({workload, "bdd", path + ".peak_nodes"},
+              static_cast<double>(r.peak_nodes), "count");
 }
 
-void report_reorder() {
+void report_symbolic(bench::Report* report) {
+  bench::heading("substrate / symbolic engine",
+                 "partitioned vs monolithic image computation — BDD "
+                 "reachability where 2^L enumeration stops scaling");
+  report->gate({"random L=28", "bdd", "partitioned.status"},
+               bench::Gate::eq("ok"));
+  report->gate({"random L=28", "bdd", "speedup_reach"},
+               bench::Gate::min(kRequiredSpeedup));
+  const std::vector<WorkloadRow> rows = run_report(bench::smoke_mode());
+  for (const WorkloadRow& r : rows) {
+    std::printf("%s (%zu latches, %zu clusters)\n", r.name.c_str(),
+                r.latches, r.clusters);
+    print_path("partitioned", r.partitioned);
+    print_path("monolithic", r.monolithic);
+    if (r.speedup_reach > 0.0) {
+      std::printf("  %-12s %.1fx on reachable()  [cross-check %s]\n",
+                  "speedup", r.speedup_reach, r.cross_check.c_str());
+    }
+    report->add({r.name, "bdd", "latches"}, static_cast<double>(r.latches),
+                "count");
+    report->add({r.name, "bdd", "clusters"}, static_cast<double>(r.clusters),
+                "count");
+    add_path(report, r.name, "partitioned", r.partitioned);
+    add_path(report, r.name, "monolithic", r.monolithic);
+    report->add({r.name, "bdd", "speedup_reach"}, r.speedup_reach, "x");
+    report->add_label({r.name, "bdd", "cross_check"}, r.cross_check);
+  }
+
+  // Symbolic implication on the paper pair.
+  SymbolicImplication sym(figure1_retimed(), figure1_original());
+  std::printf("\nsymbolic C ⊑ D on figure-1: %s, min delay %d "
+              "(matches the explicit STG result)\n",
+              sym.implies() ? "holds" : "fails",
+              sym.min_delay_for_implication(8));
+}
+
+void report_reorder(bench::Report* report) {
   bench::heading("substrate / BDD reordering + GC",
                  "on-pressure sifting unlocks order-hostile workloads; "
                  "collection bounds peak live nodes; idle features stay free");
+  const std::string unlock = "pair_matcher n=24 cls-equivalence";
+  const std::string l36 = "random L=36 partitioned reachability";
+  const std::string l28 = "random L=28 partitioned reachability";
+  report->gate({unlock, "bdd", "fixed.verdict"}, bench::Gate::eq("exhausted"));
+  report->gate({unlock, "bdd", "tuned.verdict"}, bench::Gate::eq("proven"));
+  report->gate({l36, "bdd", "peak_reduction"},
+               bench::Gate::min(kRequiredPeakReduction));
+  report->gate({l36, "bdd", "states_cross_check"}, bench::Gate::eq("ok"));
   const ReorderReport r = run_reorder_report();
   std::printf("unlock (pair_matcher n=24 cls-equivalence):\n");
   std::printf("  fixed order   %-10s %9.1f ms\n", r.fixed_verdict.c_str(),
@@ -579,37 +394,40 @@ void report_reorder() {
   std::printf("  base %.1f ms, features idle %.1f ms (%.2fx), on-pressure "
               "%.1f ms\n",
               r.base_ms, r.idle_ms, r.overhead, r.pressure_ms);
-  emit_reorder_json(r);
+
+  report->add_label({unlock, "bdd", "fixed.verdict"}, r.fixed_verdict);
+  report->add({unlock, "bdd", "fixed.ms"}, r.fixed_ms, "ms");
+  report->add_label({unlock, "bdd", "tuned.verdict"}, r.tuned_verdict);
+  report->add({unlock, "bdd", "tuned.ms"}, r.tuned_ms, "ms");
+  report->add({unlock, "bdd", "tuned.gc_runs"},
+              static_cast<double>(r.tuned_gc_runs), "count");
+  report->add({unlock, "bdd", "tuned.reorder_runs"},
+              static_cast<double>(r.tuned_reorder_runs), "count");
+  report->add({unlock, "bdd", "tuned.peak_live_nodes"},
+              static_cast<double>(r.tuned_peak_live), "count");
+  report->add({l36, "bdd", "base_peak_nodes"},
+              static_cast<double>(r.base_peak_nodes), "count");
+  report->add({l36, "bdd", "tuned_peak_live_nodes"},
+              static_cast<double>(r.tuned_peak_live_nodes), "count");
+  report->add({l36, "bdd", "peak_reduction"}, r.peak_reduction, "x");
+  report->add_label({l36, "bdd", "states_cross_check"}, r.states_cross_check);
+  // The idle bound scales with the measured base time.
+  report->gate({l28, "bdd", "idle_ms"},
+               bench::Gate::max(r.base_ms * kMaxFastPathOverhead +
+                                kFastPathGraceMs));
+  report->add({l28, "bdd", "base_ms"}, r.base_ms, "ms");
+  report->add({l28, "bdd", "idle_ms"}, r.idle_ms, "ms");
+  report->add({l28, "bdd", "pressure_ms"}, r.pressure_ms, "ms");
+  report->add({l28, "bdd", "overhead"}, r.overhead, "x");
 }
 
+}  // namespace
+
 void report() {
-  if (!reorder_only_mode()) {
-    bench::heading("substrate / symbolic engine",
-                   "partitioned vs monolithic image computation — BDD "
-                   "reachability where 2^L enumeration stops scaling");
-    const std::vector<WorkloadRow> rows = run_report(smoke_mode());
-    for (const WorkloadRow& r : rows) {
-      std::printf("%s (%zu latches, %zu clusters)\n", r.name.c_str(),
-                  r.latches, r.clusters);
-      print_path("partitioned", r.partitioned);
-      print_path("monolithic", r.monolithic);
-      if (r.speedup_reach > 0.0) {
-        std::printf("  %-12s %.1fx on reachable()  [cross-check %s]\n",
-                    "speedup", r.speedup_reach, r.cross_check.c_str());
-      }
-    }
-
-    // Symbolic implication on the paper pair.
-    SymbolicImplication sym(figure1_retimed(), figure1_original());
-    std::printf("\nsymbolic C ⊑ D on figure-1: %s, min delay %d "
-                "(matches the explicit STG result)\n",
-                sym.implies() ? "holds" : "fails",
-                sym.min_delay_for_implication(8));
-
-    emit_bench_json(rows);
-  }
-
-  report_reorder();
+  bench::Report report("symbolic");
+  report_symbolic(&report);
+  report_reorder(&report);
+  report.emit("BENCH_symbolic.json");
 }
 
 namespace {

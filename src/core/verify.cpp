@@ -230,7 +230,7 @@ ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,
   const bool bdd_conclusive = bdd_outcome.verdict == Verdict::kProven;
   const bool sat_conclusive = sat_outcome.verdict == Verdict::kProven;
 
-  if (options.portfolio.cross_check && bdd_conclusive && sat_conclusive &&
+  if (bdd_conclusive && sat_conclusive &&
       bdd_outcome.equivalent != sat_outcome.equivalent) {
     std::ostringstream os;
     os << "portfolio cross-check failed: BDD and SAT backends disagree on a "

@@ -27,13 +27,6 @@
 
 namespace rtv {
 
-struct PortfolioOptions {
-  /// When both engines reach conclusive verdicts, require them to agree
-  /// (throwing BackendDisagreement otherwise). Disabling this is only
-  /// meant for harness tests of the cross-check machinery itself.
-  bool cross_check = true;
-};
-
 /// The consolidated option set of every equivalence backend. Engines read
 /// only their own sub-struct; `backend` picks who answers.
 struct VerifyOptions {
@@ -42,7 +35,6 @@ struct VerifyOptions {
   ClsEquivOptions explicit_opts;
   BddEquivOptions bdd;
   SatEquivOptions sat;
-  PortfolioOptions portfolio;
   /// Try the ternary dataflow fixpoint (analysis/dataflow.hpp) before
   /// dispatching to the selected engine: when every paired primary output
   /// carries the same singleton fixpoint set, equivalence is proven with no

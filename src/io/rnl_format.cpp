@@ -245,6 +245,12 @@ Netlist read_rnl(const std::string& text, bool validate) {
       if (tables_by_name.count(pending_table_name) != 0) {
         parse_fail(line_no, "duplicate table name");
       }
+      if (pending_inputs > kMaxTableInputs || pending_outputs < 1 ||
+          pending_outputs > kMaxTableOutputs) {
+        parse_fail(line_no, "table needs 0..", std::to_string(kMaxTableInputs),
+                   " inputs and 1..", std::to_string(kMaxTableOutputs),
+                   " outputs");
+      }
       pending_expected = pow2(pending_inputs);
       pending_rows.clear();
       pending_rows.reserve(pending_expected);

@@ -2,7 +2,9 @@
 // istringstream reader it replaced, kept here as `reference_read_rnl`.
 // Every accepted text must yield the same netlist (node ids, names, kinds,
 // fanin and fanout order, tables, PI/PO/latch vectors) and every rejected
-// text the same ParseError message.
+// text the same ParseError message. The one intended divergence is a
+// `table` header out of the truth-table bounds, which the new reader
+// rejects on its own line (TableHeaderOutOfBoundsIsAParseErrorOnItsLine).
 
 #include <gtest/gtest.h>
 
@@ -531,10 +533,11 @@ TEST(RnlReader, NumericLeniencyMatchesStreamExtraction) {
     expect_same_outcome(junc_nodes + junc + "\n" + junc_wires);
   }
   // The table header reads its two counts from one character stream, so
-  // "1-1" is inputs 1 then outputs -1 (the unsigned maximum).
+  // "1-1" is inputs 1 then outputs -1 (the unsigned maximum, out of bounds:
+  // see TableHeaderOutOfBoundsIsAParseErrorOnItsLine).
   for (const char* table :
        {"table t 1 1", "table t +1 1", "table t 1 1x", "table t 1x 1",
-        "table t 1-1", "table t 1", "table t", "table", "table t 01 +01",
+        "table t 1", "table t", "table", "table t 01 +01",
         "table t -4294967295 1"}) {
     expect_same_outcome(std::string("rnl 1\n") + table +
                         "\nrow 0 0\nrow 1 1\nnode a input\nnode o output\n"
@@ -557,6 +560,43 @@ TEST(RnlReader, LineNumbersCountEveryLine) {
     EXPECT_STREQ(e.what(), "rnl line 6: duplicate node name 'a'");
   }
   expect_same_outcome(text);
+}
+
+TEST(RnlReader, TableHeaderOutOfBoundsIsAParseErrorOnItsLine) {
+  const std::string body =
+      "\nrow 0 0\nrow 1 1\nnode a input\nnode o output\n"
+      "node c table t\nwire a.0 c.0\nwire c.0 o.0\n";
+  for (const char* header :
+       {"table t 17 1", "table t 40 1", "table t 64 1", "table t 4294967295 1",
+        "table t 1 0", "table t 1 33", "table t 1 65", "table t 1-1"}) {
+    SCOPED_TRACE(header);
+    try {
+      read_rnl("rnl 1\n# bounds\n" + std::string(header) + body);
+      FAIL() << "out-of-bounds table accepted";
+    } catch (const ParseError& e) {
+      EXPECT_STREQ(e.what(),
+                   "rnl line 3: table needs 0..16 inputs and 1..32 outputs");
+    }
+  }
+  // The reference reader's outcomes on the headers it survives: a bare
+  // InvalidArgument from pow2, or a ParseError lines later.
+  EXPECT_THROW(reference_read_rnl("rnl 1\ntable t 64 1" + body),
+               InvalidArgument);
+  for (const char* header : {"table t 17 1", "table t 1-1", "table t 1 33"}) {
+    SCOPED_TRACE(header);
+    const Outcome want = outcome_of(
+        reference_read_rnl, "rnl 1\n# bounds\n" + std::string(header) + body,
+        true);
+    ASSERT_EQ(want.index(), 1u);
+    EXPECT_EQ(std::get<1>(want).rfind("rnl line 3:", 0), std::string::npos)
+        << std::get<1>(want);
+  }
+  // The bounds themselves are accepted.
+  EXPECT_NO_THROW(read_rnl("rnl 1\ntable t 0 32\nrow - " +
+                               std::string(32, '1') +
+                               "\nnode a output\nnode c table t\n"
+                               "wire c.0 a.0\n",
+                           /*validate=*/false));
 }
 
 TEST(RnlReader, UnknownCellKindCarriesItsLine) {

@@ -402,6 +402,21 @@ TEST(Server, UnknownCellKindIsAParseErrorWithItsLine) {
             "rnl line 3: unknown cell kind: 'xr'");
 }
 
+TEST(Server, OutOfBoundsTableHeaderIsAParseErrorWithItsLine) {
+  // Used to surface as a bare invalid_argument (64 inputs) or as internal
+  // (40 inputs: a 2^40-row reserve).
+  Server server(small_server_options());
+  for (const char* inputs : {"64", "40"}) {
+    const JsonValue doc = parse_response(server.handle_line(frame(
+        "job-44", "lint",
+        design_field("rnl 1\ntable t " + std::string(inputs) +
+                     " 1\nrow 0 0\n"))));
+    EXPECT_EQ(error_code(doc), "parse_error");
+    EXPECT_EQ(doc.find("error")->find("message")->as_string(),
+              "rnl line 2: table needs 0..16 inputs and 1..32 outputs");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency semantics
 
