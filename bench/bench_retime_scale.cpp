@@ -3,7 +3,6 @@
 // generated pipelined multipliers and random netlists of growing size.
 
 #include <chrono>
-#include <cstdlib>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -68,12 +67,7 @@ void report() {
   scale_row("mult 32b, 8 rows/stg", pipelined_multiplier(32, 8));
   scale_row("random 5k", big_random(5000, 1));
   scale_row("random 20k", big_random(20000, 2));
-  if (std::getenv("RTV_SCALE_BIG") != nullptr) {
-    scale_row("random 50k", big_random(50000, 3));  // ~15 min: opt-in
-  } else {
-    std::printf("%-22s (set RTV_SCALE_BIG=1 to run; ~15 minutes)\n",
-                "random 50k");
-  }
+  scale_row("random 50k", big_random(50000, 3));
   std::printf("\n(times in seconds; [SR94] reports 50k-gate circuits as the\n"
               "practical frontier of 1994 — shape target: near-linear graph\n"
               "construction, super-linear but tractable optimization)\n");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "retime/difference_constraints.hpp"
 #include "retime/mcmf.hpp"
 #include "retime/min_period.hpp"
 #include "retime/wd.hpp"
@@ -41,22 +42,31 @@ std::vector<int> solve_dual(std::uint32_t n, const std::vector<int>& a,
       flow.add_arc(v, kSink, -supply, 0);
     }
   }
-  // Constraint arcs: capacity total_supply + 1 so they are never saturated
-  // and the reduced-cost inequality pi[v] - pi[u] <= bound holds for all of
-  // them at optimality.
+  // Constraint arcs: capacity total_supply + 1 so they are never saturated.
+  std::vector<std::uint32_t> arc_ids;
+  arc_ids.reserve(constraints.size());
   for (const Constraint& c : constraints) {
-    flow.add_arc(c.u, c.v, total_supply + 1, c.bound);
+    arc_ids.push_back(flow.add_arc(c.u, c.v, total_supply + 1, c.bound));
   }
 
   const auto result = flow.solve(kSource, kSink, total_supply);
   RTV_CHECK_MSG(result.flow == total_supply,
                 "min-area dual flow infeasible (constraint system broken)");
 
-  const auto& pi = flow.potentials();
-  std::vector<int> lag(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    lag[v] = static_cast<int>(-pi[v]);
+  // The optimal lags are the feasible ones that are tight on every arc
+  // carrying flow (complementary slackness) — the same set for every
+  // optimal flow. Read out its least member: with pi = -lag, the greatest
+  // pi <= 0 of pi(v) - pi(u) <= bound, plus pi(u) - pi(v) <= -bound on
+  // the arcs with flow.
+  DifferenceConstraints system(n);
+  for (std::size_t i = 0; i < constraints.size(); ++i) {
+    const Constraint& c = constraints[i];
+    system.add(c.v, c.u, c.bound);
+    if (flow.flow_on(arc_ids[i]) > 0) system.add(c.u, c.v, -c.bound);
   }
+  RTV_CHECK_MSG(system.solve(), "min-area optimality system infeasible");
+  std::vector<int> lag(n);
+  for (std::uint32_t v = 0; v < n; ++v) lag[v] = -system.solution()[v];
   return lag;
 }
 

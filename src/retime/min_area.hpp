@@ -7,8 +7,9 @@
 // with a_v = indeg(v) - outdeg(v), subject to the legality constraints
 // lag(u) - lag(v) <= w(e) and, when a period c is given, the [LS83] period
 // constraints lag(u) - lag(v) <= W(u,v) - 1 for all D(u,v) > c. The LP dual
-// is a transshipment problem solved with MinCostFlow; optimal lags are the
-// negated node potentials.
+// is a transshipment problem solved with MinCostFlow; the lags returned are
+// the least optimal ones (tight on every arc carrying flow), anchored at
+// host = 0 — the same vector whatever optimal flow was found.
 //
 // Register-count model: one register per wire chain unit (edge weight sum).
 // [SR94]'s fanout-sharing refinement (registers on sibling fanout edges

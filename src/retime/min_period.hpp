@@ -12,10 +12,11 @@
 //    current solution with one path constraint per late vertex
 //    (lag(u) - lag(v) <= w(p) - 1 along its critical path) until the target
 //    period is met. O(V^2) memory never materializes; the min period is
-//    found by integer binary search (vertex delays are integers).
+//    found by integer binary search (vertex delays are integers), with one
+//    pool of cuts shared by every probe of the search.
 //
-// Both return a legal lag assignment realizing the optimum; tests cross-
-// check them against each other.
+// Both return the greatest lag vector <= 0 (anchored at host = 0) that
+// meets the period — identical lags; tests cross-check them.
 
 #include <optional>
 #include <vector>

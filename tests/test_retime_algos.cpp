@@ -104,11 +104,25 @@ TEST(MinPeriod, OptAndFeasAgreeOnRandomCircuits) {
     const RetimingSolution a = min_period_retime_opt(g);
     const RetimingSolution b = min_period_retime_feas(g);
     EXPECT_EQ(a.period, b.period) << "trial " << trial;
+    // Both return the greatest solution <= 0 of the exact [LS83] system.
+    EXPECT_EQ(a.lag, b.lag) << "trial " << trial;
     EXPECT_LE(a.period, g.clock_period());
     EXPECT_TRUE(g.legal_retiming(a.lag));
     EXPECT_TRUE(g.legal_retiming(b.lag));
     EXPECT_EQ(g.clock_period(a.lag), a.period);
   }
+}
+
+TEST(MinPeriod, FeasReachesOptimumOnPipelinedMultiplier14x2) {
+  // 28 is the optimum min_period_retime_opt computes (W/D over 1,737
+  // vertices, too slow for a unit test), with the same lags. Without cuts
+  // shared across the binary search, FEAS probes at feasible periods ran
+  // out of rounds and the search settled at 57.
+  const RetimeGraph g = RetimeGraph::from_netlist(pipelined_multiplier(14, 2));
+  const RetimingSolution feas = min_period_retime_feas(g);
+  EXPECT_EQ(feas.period, 28);
+  EXPECT_TRUE(g.legal_retiming(feas.lag));
+  EXPECT_EQ(g.clock_period(feas.lag), 28);
 }
 
 TEST(MinPeriod, MatchesBruteForceOnTinyCircuits) {
