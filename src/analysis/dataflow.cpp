@@ -330,50 +330,51 @@ std::optional<std::string> static_cls_equivalence_proof(
          "sets, so both designs produce identical CLS traces";
 }
 
+MoveCertificate certify_move(const Netlist& before, const RetimingMove& move,
+                             const std::vector<bool>& observable,
+                             bool try_fixpoint,
+                             const DataflowOptions& options) {
+  if (before.cell_function(move.element).preserves_all_x()) {
+    return {true, CertificateArgument::kAllX,
+            "element preserves all-X (Theorem 5.1)"};
+  }
+  if (!observable[move.element.value]) {
+    return {true, CertificateArgument::kUnobservable,
+            "element is unobservable from every primary output"};
+  }
+  if (!try_fixpoint) {
+    return {false, CertificateArgument::kNone, "plan too large to replay"};
+  }
+  // Argument 3 needs every output of `before` pinned to one value set; one
+  // fixpoint refutes that for most designs before any copy is made.
+  const DataflowResult pre = run_dataflow(before, options);
+  const std::vector<NodeId>& pos = before.primary_outputs();
+  if (std::all_of(pos.begin(), pos.end(), [&](NodeId po) {
+        return trit_set_is_singleton(pre.output_set(po));
+      })) {
+    Netlist after = before;
+    apply_move(after, move);
+    if (auto proof = static_cls_equivalence_proof(before, after, options)) {
+      return {true, CertificateArgument::kFixpoint, std::move(*proof)};
+    }
+  }
+  return {false, CertificateArgument::kNone,
+          "no static argument applies; an engine backend must decide"};
+}
+
 std::vector<MoveCertificate> certify_plan_moves(
     const Netlist& netlist, const std::vector<RetimingMove>& moves,
     const DataflowOptions& options) {
-  std::vector<MoveCertificate> certificates(moves.size());
+  std::vector<MoveCertificate> certificates(
+      moves.size(), {false, CertificateArgument::kNone,
+                     "not reached: a move of the plan could not be applied"});
+  const std::vector<bool> observable = observable_mask(netlist);
   Netlist scratch = netlist;
-  bool replay_broken = false;
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    MoveCertificate& cert = certificates[i];
-    if (replay_broken) {
-      cert.reason = "unreachable: an earlier move of the plan did not apply";
-      continue;
-    }
-    const RetimingMove& move = moves[i];
-    if (!can_apply(scratch, move)) {
-      cert.reason = "move is not applicable at this position of the plan";
-      replay_broken = true;
-      continue;
-    }
-
-    // Static argument 1 — Theorem 5.1: an element whose function maps all-X
-    // inputs to all-X outputs cannot manufacture definite latch state, so
-    // any move across it leaves every CLS trace unchanged.
-    if (scratch.cell_function(move.element).preserves_all_x()) {
-      cert.certified = true;
-      cert.reason = "element preserves all-X (Theorem 5.1)";
-    } else if (!observable_mask(scratch)[move.element.value]) {
-      // Static argument 2: the element cannot influence any primary output,
-      // so relocating latches around it cannot change any observed trace.
-      cert.certified = true;
-      cert.reason = "element is unobservable from every primary output";
-    } else {
-      // Static argument 3: whole-design fixpoint proof across the move.
-      Netlist after = scratch;
-      apply_move(after, move);
-      if (const std::optional<std::string> proof =
-              static_cls_equivalence_proof(scratch, after, options)) {
-        cert.certified = true;
-        cert.reason = *proof;
-      } else {
-        cert.reason =
-            "no static argument applies; an engine backend must decide";
-      }
-    }
-    apply_move(scratch, move);
+  for (std::size_t i = 0; i < moves.size() && can_apply(scratch, moves[i]);
+       ++i) {
+    certificates[i] =
+        certify_move(scratch, moves[i], observable, true, options);
+    apply_move(scratch, moves[i]);
   }
   return certificates;
 }

@@ -128,27 +128,36 @@ DataflowResult run_dataflow(const Netlist& netlist,
 
 // ---- static retiming-safety certification (RTV305) -------------------------
 
+/// The static argument that certified a move (kNone: not certified).
+enum class CertificateArgument : std::uint8_t {
+  kNone, kAllX, kUnobservable, kFixpoint
+};
+
 /// Verdict for one move of a plan: `certified` means the move provably
 /// preserves the CLS-observable behaviour (Cor 5.3's conclusion) without
-/// any engine run; `reason` names the static argument that proved it, or
-/// why certification was declined.
+/// any engine run; `argument` and `reason` name the static argument that
+/// proved it, or `reason` says why certification was declined.
 struct MoveCertificate {
   bool certified = false;
+  CertificateArgument argument = CertificateArgument::kNone;
   std::string reason;
 };
 
-/// Statically certifies each move of a feasible plan, replaying the plan on
-/// a scratch copy so every move is judged at its own position. A move is
-/// certified when one of three static arguments applies:
-///   1. the element's function preserves all-X — Theorem 5.1's condition,
-///      under which any retiming move leaves every CLS trace unchanged;
-///   2. every output port of the element is unobservable (no path to a
-///      primary output), so the move can only disturb dead logic;
-///   3. the designs before and after the move have a whole-design static
-///      proof: every paired primary output carries the same definite-or-X
-///      singleton fixpoint set in both (each output is the same constant
-///      trace in both designs).
-/// Moves that cannot be applied on the scratch copy are not certified.
+/// Certifies one enabled move at its own position (`before` is the design
+/// it applies to) by the first static argument that holds:
+///   1. the element preserves all-X (Theorem 5.1's condition);
+///   2. the element is unobservable. `observable` is observable_mask() of
+///      the plan's design, which no move changes for a combinational
+///      element: moves only add or remove latches on wires;
+///   3. with `try_fixpoint`, static_cls_equivalence_proof(before, after).
+/// Certified moves compose (Cor 5.2).
+MoveCertificate certify_move(const Netlist& before, const RetimingMove& move,
+                             const std::vector<bool>& observable,
+                             bool try_fixpoint = true,
+                             const DataflowOptions& options = {});
+
+/// certify_move for each move of a plan, replayed on a scratch copy. From
+/// the first move that cannot be applied there on, none is certified.
 std::vector<MoveCertificate> certify_plan_moves(
     const Netlist& netlist, const std::vector<RetimingMove>& moves,
     const DataflowOptions& options = {});

@@ -1,8 +1,8 @@
 #include "core/safety.hpp"
 
+#include <cstdlib>
 #include <sstream>
 
-#include "analysis/dataflow.hpp"
 #include "analysis/plan.hpp"
 
 namespace rtv {
@@ -24,14 +24,6 @@ std::string SafetyReport::summary() const {
 
 namespace {
 
-SafetyReport report_from_stats(const MoveSequenceStats& stats) {
-  SafetyReport report;
-  report.stats = stats;
-  report.safe_replacement_guaranteed = stats.preserves_safe_replacement();
-  report.delay_bound = stats.max_forward_per_non_justifiable;
-  return report;
-}
-
 /// Replays `moves` statically against the *original* netlist and checks the
 /// census agrees with what applying them produced. A disagreement means
 /// either the sequencer or the static analyzer is wrong — an internal
@@ -50,30 +42,40 @@ bool cross_check_static(const Netlist& netlist,
   return true;
 }
 
-/// Above this moves × slots product the per-move fixpoint replay of
-/// certify_plan_moves would dominate the analysis; the report then simply
-/// carries no certificate (cls_certified_safe stays false, which claims
-/// nothing).
+/// Above this moves × slots product, certificate argument 3 (whole-design
+/// fixpoints at every move) would dominate the analysis; moves then get
+/// arguments 1 and 2 only.
 constexpr std::size_t kClsCertifyBudget = 4'000'000;
 
-/// True iff every unsafe-class move of the sequence holds an individual
-/// certificate from the ternary dataflow fixpoint. Move classification is
-/// position-independent, so each move is classified against the original
-/// netlist while certify_plan_moves replays positions internally.
-bool cls_certify(const Netlist& netlist,
-                 const std::vector<RetimingMove>& moves,
-                 const MoveSequenceStats& stats) {
-  if (stats.forward_across_non_justifiable == 0) return false;
-  if (moves.size() * netlist.num_slots() > kClsCertifyBudget) return false;
-  const std::vector<MoveCertificate> certificates =
-      certify_plan_moves(netlist, moves);
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    if (classify_move(netlist, moves[i]).preserves_safe_replacement()) {
-      continue;
+/// A visitor for the replay that applies the moves: it appends each
+/// move's certificate to `out`, judged at the move's own position.
+MoveVisitor certifier(const Netlist& netlist, std::size_t moves,
+                      std::vector<MoveCertificate>& out) {
+  out.reserve(moves);
+  const bool try_fixpoint = moves * netlist.num_slots() <= kClsCertifyBudget;
+  return [&out, try_fixpoint, observable = observable_mask(netlist)](
+             const Netlist& before, const RetimingMove& move) {
+    out.push_back(certify_move(before, move, observable, try_fixpoint));
+  };
+}
+
+SafetyReport make_report(const Netlist& netlist, const SequencedRetiming& seq,
+                         std::vector<MoveCertificate> certificates) {
+  SafetyReport report;
+  report.stats = seq.stats;
+  report.safe_replacement_guaranteed = seq.stats.preserves_safe_replacement();
+  report.delay_bound = seq.stats.max_forward_per_non_justifiable;
+  report.statically_verified =
+      cross_check_static(netlist, seq.moves, seq.stats);
+  report.cls_certified_safe = seq.stats.forward_across_non_justifiable > 0;
+  for (std::size_t i = 0; i < seq.classes.size(); ++i) {
+    if (!seq.classes[i].preserves_safe_replacement() &&
+        !certificates[i].certified) {
+      report.cls_certified_safe = false;
     }
-    if (!certificates[i].certified) return false;
   }
-  return true;
+  report.move_certificates = std::move(certificates);
+  return report;
 }
 
 }  // namespace
@@ -82,11 +84,14 @@ SafetyReport analyze_lag_retiming(const Netlist& netlist,
                                   const RetimeGraph& graph,
                                   const std::vector<int>& lag,
                                   SequencedRetiming* sequenced) {
-  SequencedRetiming seq = sequence_retiming(netlist, graph, lag);
-  SafetyReport report = report_from_stats(seq.stats);
-  report.statically_verified = cross_check_static(netlist, seq.moves,
-                                                  seq.stats);
-  report.cls_certified_safe = cls_certify(netlist, seq.moves, seq.stats);
+  std::size_t planned = 0;  // each unit of lag is one move
+  for (std::size_t v = 2; v < lag.size(); ++v) {
+    planned += static_cast<std::size_t>(std::abs(lag[v]));
+  }
+  std::vector<MoveCertificate> certificates;
+  SequencedRetiming seq = sequence_retiming(
+      netlist, graph, lag, certifier(netlist, planned, certificates));
+  SafetyReport report = make_report(netlist, seq, std::move(certificates));
   if (sequenced != nullptr) *sequenced = std::move(seq);
   return report;
 }
@@ -94,17 +99,18 @@ SafetyReport analyze_lag_retiming(const Netlist& netlist,
 SafetyReport analyze_move_sequence(const Netlist& netlist,
                                    const std::vector<RetimingMove>& moves,
                                    Netlist* retimed) {
-  Netlist work = netlist;
-  MoveSequenceStats stats;
+  SequencedRetiming seq{netlist, moves, {}, {}};
+  std::vector<MoveCertificate> certificates;
+  const MoveVisitor certify = certifier(netlist, moves.size(), certificates);
   std::vector<std::uint32_t> forward_counts(netlist.num_slots(), 0);
   for (const RetimingMove& move : moves) {
-    const MoveClass cls = apply_move(work, move);
-    accumulate_move(move, cls, forward_counts, stats);
+    RTV_REQUIRE(can_apply(seq.retimed, move), "retiming move is not enabled");
+    certify(seq.retimed, move);
+    seq.classes.push_back(apply_move(seq.retimed, move));
+    accumulate_move(move, seq.classes.back(), forward_counts, seq.stats);
   }
-  SafetyReport report = report_from_stats(stats);
-  report.statically_verified = cross_check_static(netlist, moves, stats);
-  report.cls_certified_safe = cls_certify(netlist, moves, stats);
-  if (retimed != nullptr) *retimed = std::move(work);
+  SafetyReport report = make_report(netlist, seq, std::move(certificates));
+  if (retimed != nullptr) *retimed = std::move(seq.retimed);
   return report;
 }
 

@@ -9,9 +9,11 @@
 //     non-justifiable element: C^k ⊑ D (Thm 4.5) — safe after k settle
 //     cycles; and test sets for D remain test sets for C^k (Thm 4.6).
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "analysis/dataflow.hpp"
 #include "netlist/netlist.hpp"
 #include "retime/graph.hpp"
 #include "retime/moves.hpp"
@@ -30,14 +32,23 @@ struct SafetyReport {
   /// delay_bound is then an independently derived certificate, not just a
   /// by-product of applying the moves.
   bool statically_verified = false;
+  /// Thm 5.1's certificate for each move (analysis/dataflow.hpp), taken in
+  /// the replay that applies the moves.
+  std::vector<MoveCertificate> move_certificates;
   /// Every move that breaks safe replacement in the Section-4 taxonomy was
   /// individually certified harmless by the ternary dataflow fixpoint
-  /// (analysis/dataflow.hpp, RTV305): this concrete sequence preserves
-  /// every CLS trace even though its move classes alone cannot guarantee
-  /// it. False means only "no certificate" — certification is skipped for
-  /// sequences with no unsafe moves (nothing to certify) and for very
-  /// large moves×netlist products (the fixpoint replay would dominate).
+  /// (RTV305): this concrete sequence preserves every CLS trace even
+  /// though its move classes alone cannot guarantee it. False means only
+  /// "no certificate"; a sequence with no unsafe moves has nothing to
+  /// certify and stays false.
   bool cls_certified_safe = false;
+
+  /// Every move certified (vacuously so for no moves): Cor 5.2 then makes
+  /// the retimed design CLS-equivalent to the original.
+  bool every_move_certified() const {
+    return std::all_of(move_certificates.begin(), move_certificates.end(),
+                       [](const MoveCertificate& c) { return c.certified; });
+  }
 
   std::string summary() const;
 };

@@ -10,6 +10,8 @@ std::string RetimingValidation::summary() const {
   std::ostringstream os;
   os << "safety:   " << safety.summary() << "\n";
   os << "cls:      " << cls.summary() << "\n";
+  os << "decided:  " << to_string(cls.decided_by) << " (" << cls.decided_reason
+     << ")\n";
   if (stg_checked) {
     os << "stg:      C " << (implication ? "⊑" : "⋢") << " D, C "
        << (safe_replacement ? "≼" : "⋠") << " D, min delay n with C^n ⊑ D: "
@@ -33,7 +35,28 @@ RetimingValidation validate_retiming(const Netlist& original,
   SequencedRetiming seq;
   v.safety = analyze_lag_retiming(original, graph, lag, &seq);
   v.retimed = std::move(seq.retimed);
-  v.cls = verify_cls_equivalence(original, v.retimed, options.verify, &budget);
+  // Certificate first: every move keeps relation R (Thm 5.1 or another
+  // static argument) and Cor 5.2 composes them, so no engine need run.
+  // Anything less falls through to the selected backend.
+  if (options.verify.allow_static_proof && v.safety.every_move_certified() &&
+      budget.checkpoint("validate/certificate")) {
+    std::size_t by[4] = {};  // moves per CertificateArgument value
+    for (const MoveCertificate& c : v.safety.move_certificates) {
+      ++by[static_cast<std::size_t>(c.argument)];
+    }
+    v.cls.equivalent = v.cls.exhaustive = true;
+    v.cls.verdict = Verdict::kProven;
+    v.cls.decided_by = EquivalenceBackend::kStatic;
+    v.cls.decided_reason =
+        "per-move certificate: " +
+        std::to_string(v.safety.move_certificates.size()) + " moves (" +
+        std::to_string(by[1]) + " all-X, " + std::to_string(by[2]) +
+        " unobservable, " + std::to_string(by[3]) + " fixpoint)";
+    v.cls.usage = budget.usage();
+  } else {
+    v.cls =
+        verify_cls_equivalence(original, v.retimed, options.verify, &budget);
+  }
 
   // Corollary 5.3 is unconditional (given the all-X-preserving library);
   // a CLS mismatch falsifies the paper (or this implementation). A found

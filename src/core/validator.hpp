@@ -4,7 +4,10 @@
 // Given an original design and a retiming (lag assignment), the validator
 //   1. sequences the retiming into classified atomic moves (Section 3.2),
 //   2. derives the static safety verdict (Cor 4.4 / Thm 4.5),
-//   3. checks CLS equivalence from all-X (Cor 5.3 — must always hold),
+//   3. checks CLS equivalence from all-X (Cor 5.3 — must always hold):
+//      certificate, else engine. When every move carries Thm 5.1's
+//      per-move certificate (from step 1's replay), the gate is proven
+//      with no engine run; otherwise verify_cls_equivalence decides,
 //   4. when the designs are small enough, extracts both STGs and decides
 //      the exact relations: C ⊑ D, C ≼ D, and the minimal n with C^n ⊑ D,
 //      cross-checking the static bounds against ground truth.

@@ -140,11 +140,16 @@ std::pair<std::string_view, std::uint32_t> split_ref(std::size_t line,
 /// table raises a ParseError without a line number.
 NodeId add_node(Netlist& n, CellKind kind, std::string name,
                 std::string_view param, const TableNames& tables) {
-  const auto width = [param] {  // read as std::stoul reads it, then narrowed
+  const auto width = [param] {  // read as std::stoul reads it, then bounded
     std::string_view rest = param;
     unsigned long value = 0;
     if (!next_number(rest, value)) {
       throw ParseError("bad node parameter '" + std::string(param) + "'");
+    }
+    if (value > kMaxRnlCellWidth) {
+      throw ParseError("node width " + std::string(param) +
+                       " exceeds the bound " +
+                       std::to_string(kMaxRnlCellWidth));
     }
     return static_cast<unsigned>(value);
   };

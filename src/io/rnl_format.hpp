@@ -19,6 +19,10 @@
 
 namespace rtv {
 
+/// Largest gate arity or junction width a `node` line may declare; the
+/// reader refuses more on that line, before allocating any pin.
+inline constexpr unsigned long kMaxRnlCellWidth = 65536;
+
 /// Serializes a netlist (live nodes only; the result is compact).
 std::string write_rnl(const Netlist& netlist);
 

@@ -26,7 +26,8 @@ void accumulate_move(const RetimingMove& move, const MoveClass& cls,
 
 SequencedRetiming sequence_retiming(const Netlist& netlist,
                                     const RetimeGraph& graph,
-                                    const std::vector<int>& lag) {
+                                    const std::vector<int>& lag,
+                                    const MoveVisitor& before_move) {
   RTV_REQUIRE(graph.legal_retiming(lag), "sequence_retiming: illegal retiming");
 
   SequencedRetiming result;
@@ -51,6 +52,7 @@ SequencedRetiming sequence_retiming(const Netlist& netlist,
                                                     : MoveDirection::kForward;
       const RetimingMove move{graph.vertex_origin(v), dir};
       if (!can_apply(work, move)) continue;
+      if (before_move) before_move(work, move);
       const MoveClass cls = apply_move(work, move);
       applied[v] += (dir == MoveDirection::kBackward) ? 1 : -1;
       --pending_total;

@@ -11,6 +11,7 @@
 // (take a vertex with extremal pending lag that is minimal in the acyclic
 // zero-weight subgraph among its peers).
 
+#include <functional>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -29,12 +30,18 @@ struct SequencedRetiming {
   MoveSequenceStats stats;
 };
 
+/// Called once per move, just before it is applied, with the working
+/// netlist at that move's own position in the sequence.
+using MoveVisitor =
+    std::function<void(const Netlist& before, const RetimingMove& move)>;
+
 /// Applies `lag` (legal for `graph` = RetimeGraph::from_netlist(netlist)) as
-/// a sequence of atomic moves. Requires a junction-normal netlist whose
-/// ports all have exactly one sink.
+/// a sequence of atomic moves, showing each to `before_move` if set.
+/// Requires a junction-normal netlist whose ports all have exactly one sink.
 SequencedRetiming sequence_retiming(const Netlist& netlist,
                                     const RetimeGraph& graph,
-                                    const std::vector<int>& lag);
+                                    const std::vector<int>& lag,
+                                    const MoveVisitor& before_move = {});
 
 /// Folds one classified move into running statistics. `forward_counts` must
 /// be sized by netlist slot count and zero-initialized; it accumulates

@@ -46,15 +46,18 @@ Stg Stg::extract(const Netlist& netlist, std::uint64_t entry_cap,
                         " entries, cap " + std::to_string(entry_cap) + ")");
   }
   BinarySimulator sim(netlist);
-  std::vector<std::uint32_t> next(num_states * num_inputs);
-  std::vector<std::uint64_t> out(num_states * num_inputs);
+  // Reserved, not zero-filled: a cut-off extraction touches what it filled.
+  std::vector<std::uint32_t> next;
+  std::vector<std::uint64_t> out;
+  next.reserve(num_states * num_inputs);
+  out.reserve(num_states * num_inputs);
   for (std::uint64_t s = 0; s < num_states; ++s) {
     if (budget != nullptr) budget->checkpoint_or_throw("stg/extract-state");
     for (std::uint64_t a = 0; a < num_inputs; ++a) {
       std::uint64_t o = 0, ns = 0;
       sim.eval_packed(s, a, o, ns);
-      next[s * num_inputs + a] = static_cast<std::uint32_t>(ns);
-      out[s * num_inputs + a] = o;
+      next.push_back(static_cast<std::uint32_t>(ns));
+      out.push_back(o);
     }
   }
   return Stg(num_states, num_inputs,

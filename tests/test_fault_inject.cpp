@@ -266,7 +266,7 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   EXPECT_GE(total, 30u);
   EXPECT_GE(sites.size(), 8u);
   std::size_t cls_sites = 0, stg_sites = 0, flow_sites = 0, fault_sites = 0;
-  bool saw_bdd_gc = false, saw_bdd_reorder = false;
+  bool saw_bdd_gc = false, saw_bdd_reorder = false, saw_certificate = false;
   for (const std::string& s : sites) {
     cls_sites += s.rfind("cls/", 0) == 0;
     stg_sites += s.rfind("stg/", 0) == 0;
@@ -274,6 +274,7 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
     fault_sites += s.rfind("fault/", 0) == 0;
     saw_bdd_gc |= s == "bdd/gc";
     saw_bdd_reorder |= s == "bdd/reorder";
+    saw_certificate |= s == "validate/certificate";
   }
   EXPECT_GT(cls_sites, 0u) << "no CLS checkpoints seen";
   EXPECT_GT(stg_sites, 0u) << "no STG checkpoints seen";
@@ -281,6 +282,9 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   EXPECT_GT(fault_sites, 0u) << "no fault-engine checkpoints seen";
   EXPECT_TRUE(saw_bdd_gc) << "no BDD collection checkpoint seen";
   EXPECT_TRUE(saw_bdd_reorder) << "no BDD sifting checkpoint seen";
+  // validate's certificate stage is tripped too, so the sweep proves an
+  // exhaustion there never yields a proven verdict.
+  EXPECT_TRUE(saw_certificate) << "no certificate checkpoint seen";
 }
 
 TEST(FaultInjectSweep, EveryInjectionPointDegradesGracefully) {

@@ -80,6 +80,25 @@ inline Netlist wide_pipeline() {
   return n;
 }
 
+/// const0 -> latch -> XOR with input a -> out. Moving the latch backward
+/// across the constant (what min-area retiming does) makes the output
+/// definite one cycle early: the plan breaks Theorem 5.1's premise and
+/// changes a CLS trace, so no per-move certificate may cover it.
+inline Netlist delayed_constant() {
+  Netlist n;
+  const NodeId a = n.add_input("a");
+  const NodeId out = n.add_output("out");
+  const NodeId c = n.add_const(false, "c");
+  const NodeId l = n.add_latch("L");
+  const NodeId x = n.add_gate(CellKind::kXor, 2, "x");
+  n.connect(c, l);
+  n.connect(PortRef(l, 0), PinRef(x, 0));
+  n.connect(PortRef(a, 0), PinRef(x, 1));
+  n.connect(x, out);
+  n.check_valid(true);
+  return n;
+}
+
 /// A random legal lag: `attempts` single-vertex +-1 probes, each kept when
 /// the retiming stays legal.
 inline std::vector<int> random_legal_lag(const RetimeGraph& g, Rng& rng,

@@ -84,14 +84,37 @@ TEST(Jobs, ServeAndInProcessRunsEncodeTheSameResult) {
 
 TEST(Jobs, ValidateTakesEveryEquivalenceOption) {
   // Before the job layer, validate jobs rejected the backend knobs that
-  // cls-equivalence jobs accepted.
+  // cls-equivalence jobs accepted. The design is one the per-move
+  // certificate cannot decide, so the selected backend does.
   const BothPaths both = run_both(
-      JobType::kValidate, figure1_original(),
+      JobType::kValidate, testing::delayed_constant(),
       "{\"backend\":\"bdd\",\"bdd_gc\":true,\"bdd_reorder\":\"pressure\","
       "\"max_pairs\":1000}");
   EXPECT_TRUE(both.served.find("theorems_hold")->as_bool());
   EXPECT_EQ(both.served.find("decided_by")->as_string(), "bdd");
   EXPECT_EQ(both.direct.verdict, "proven");
+}
+
+TEST(Jobs, ValidateIsDecidedByThePerMoveCertificate) {
+  // Every move of Figure 1's retiming crosses an all-X-preserving element:
+  // the certificate decides before any backend runs, on both paths.
+  const BothPaths both = run_both(JobType::kValidate, figure1_original(),
+                                  "{\"backend\":\"bdd\"}");
+  EXPECT_EQ(write_json(both.served), write_json(both.direct.result));
+  EXPECT_EQ(both.served.find("decided_by")->as_string(), "static");
+  EXPECT_TRUE(both.served.find("cls_exhaustive")->as_bool());
+  EXPECT_EQ(both.direct.verdict, "proven");
+
+  const Netlist f1 = figure1_original();
+  serve::JobDesigns designs;
+  designs.a = &f1;
+  serve::JobEnv env;
+  env.want_text = true;
+  const std::string text =
+      serve::run_job(JobType::kValidate, JsonValue(), designs, env).text;
+  EXPECT_NE(text.find("decided:  static (per-move certificate: "),
+            std::string::npos)
+      << text;
 }
 
 TEST(Jobs, LintPlanOptionRunsThePlanAnalysis) {

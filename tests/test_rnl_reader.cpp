@@ -599,6 +599,28 @@ TEST(RnlReader, TableHeaderOutOfBoundsIsAParseErrorOnItsLine) {
                            /*validate=*/false));
 }
 
+TEST(RnlReader, NodeWidthOutOfBoundsIsAParseErrorOnItsLine) {
+  for (const char* node :
+       {"node g and 1000000000", "node g and 65537", "node j junc 65537",
+        "node j junc 4294967297", "node g or -1"}) {
+    SCOPED_TRACE(node);
+    try {
+      read_rnl("rnl 1\nnode a input\n" + std::string(node) + "\n");
+      FAIL() << "out-of-bounds width accepted";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("rnl line 3: node width ", 0), 0u) << what;
+      EXPECT_NE(what.find(" exceeds the bound 65536"), std::string::npos)
+          << what;
+    }
+  }
+  // The bound itself is accepted.
+  const Netlist n = read_rnl("rnl 1\nnode g and 65536\nnode j junc 65536\n",
+                             /*validate=*/false);
+  EXPECT_EQ(n.num_pins(n.find_by_name("g")), kMaxRnlCellWidth);
+  EXPECT_EQ(n.num_ports(n.find_by_name("j")), kMaxRnlCellWidth);
+}
+
 TEST(RnlReader, UnknownCellKindCarriesItsLine) {
   try {
     read_rnl("rnl 1\nnode a input\nnode g xr 2\n");
