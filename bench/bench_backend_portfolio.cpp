@@ -15,11 +15,18 @@
 //    min-period retiming. Its reachable state-pair set is small, so the
 //    portfolio's explicit stage proves it before the BDD/SAT race starts.
 //
+// Every pair is a plain retiming, which the per-move certificate of its
+// recovered lag would decide ahead of any engine; the engine rows run with
+// allow_static_proof = false so that they measure the engines. One extra
+// row runs the portfolio with static arguments allowed on narrow_random,
+// where the certificate must decide.
+//
 // BENCH_backend.json (the shared row schema, bench_util.hpp) records
 // per-backend timings, verdicts and decided_by, and gates the engine-matrix
 // contract: on multiplier_like the capped BDD run must exhaust AND the SAT
 // run must return a definitive (proven) verdict; on narrow_random the
-// explicit stage must decide the portfolio run; on every workload the
+// explicit stage must decide the portfolio run, and the certificate the
+// portfolio run with static arguments allowed; on every workload the
 // portfolio must return a conclusive verdict and finish within 1.2x the
 // best single backend (plus a small absolute grace for thread-scheduling
 // jitter on sub-millisecond runs). RTV_BENCH_SMOKE=1 shrinks the cones so
@@ -115,6 +122,13 @@ Workload run_workload(bench::Report* report, const std::string& name,
   return w;
 }
 
+/// The engine rows' options: static arguments off, so the engines decide.
+VerifyOptions engines_only() {
+  VerifyOptions opt;
+  opt.allow_static_proof = false;
+  return opt;
+}
+
 std::vector<Workload> run_report(bench::Report* report, bool smoke) {
   std::vector<Workload> workloads;
 
@@ -125,7 +139,7 @@ std::vector<Workload> run_report(bench::Report* report, bool smoke) {
     SequencedRetiming seq;
     analyze_lag_retiming(adder, g, min_area_retime(g).lag, &seq);
     workloads.push_back(run_workload(report, "bdd_friendly", adder,
-                                     seq.retimed, VerifyOptions{}));
+                                     seq.retimed, engines_only()));
   }
 
   // Multiplier-like cone: two register placements of the same array
@@ -136,7 +150,7 @@ std::vector<Workload> run_report(bench::Report* report, bool smoke) {
     const unsigned bits = smoke ? 3 : 4;
     const Netlist fine = pipelined_multiplier(bits, smoke ? 1 : 2);
     const Netlist coarse = pipelined_multiplier(bits, bits);
-    VerifyOptions base;
+    VerifyOptions base = engines_only();
     base.bdd.node_limit = smoke ? 3000 : 20000;
     report->gate({"multiplier_like", "core", "bdd.verdict"},
                  bench::Gate::eq("exhausted"));
@@ -160,7 +174,17 @@ std::vector<Workload> run_report(bench::Report* report, bool smoke) {
     report->gate({"narrow_random", "core", "portfolio.decided_by"},
                  bench::Gate::eq("explicit"));
     workloads.push_back(run_workload(report, "narrow_random", n, seq.retimed,
-                                     VerifyOptions{}));
+                                     engines_only()));
+    EngineRun certified = run_engine(EquivalenceBackend::kPortfolio, n,
+                                     seq.retimed, VerifyOptions{});
+    certified.backend = "portfolio+static";
+    report->gate({"narrow_random", "core", "portfolio_static.decided_by"},
+                 bench::Gate::eq("static"));
+    report->add({"narrow_random", "core", "portfolio_static.ms"}, certified.ms,
+                "ms");
+    report->add_label({"narrow_random", "core", "portfolio_static.decided_by"},
+                      certified.decided_by);
+    workloads.back().runs.push_back(certified);
   }
 
   return workloads;

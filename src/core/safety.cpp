@@ -17,9 +17,22 @@ std::string SafetyReport::summary() const {
   }
   if (statically_verified) os << " [statically verified]";
   if (cls_certified_safe) {
-    os << " [unsafe moves CLS-certified by ternary fixpoint]";
+    os << " [unsafe moves CLS-certified; " << certificate_census() << "]";
   }
   return os.str();
+}
+
+std::string SafetyReport::certificate_census() const {
+  std::size_t by[4] = {};  // moves per CertificateArgument value
+  for (const MoveCertificate& c : move_certificates) {
+    ++by[static_cast<std::size_t>(c.argument)];
+  }
+  std::string census = std::to_string(move_certificates.size()) + " moves (" +
+                       std::to_string(by[1]) + " all-X, " +
+                       std::to_string(by[2]) + " unobservable, " +
+                       std::to_string(by[3]) + " fixpoint";
+  if (by[0] != 0) census += ", " + std::to_string(by[0]) + " uncertified";
+  return census + ")";
 }
 
 namespace {

@@ -50,6 +50,10 @@ struct SafetyReport {
                        [](const MoveCertificate& c) { return c.certified; });
   }
 
+  /// Moves per certificate argument: "N moves (a all-X, b unobservable,
+  /// c fixpoint)", with ", d uncertified" when some move has none.
+  std::string certificate_census() const;
+
   std::string summary() const;
 };
 

@@ -40,22 +40,10 @@ RetimingValidation validate_retiming(const Netlist& original,
   // Anything less falls through to the selected backend.
   if (options.verify.allow_static_proof && v.safety.every_move_certified() &&
       budget.checkpoint("validate/certificate")) {
-    std::size_t by[4] = {};  // moves per CertificateArgument value
-    for (const MoveCertificate& c : v.safety.move_certificates) {
-      ++by[static_cast<std::size_t>(c.argument)];
-    }
-    v.cls.equivalent = v.cls.exhaustive = true;
-    v.cls.verdict = Verdict::kProven;
-    v.cls.decided_by = EquivalenceBackend::kStatic;
-    v.cls.decided_reason =
-        "per-move certificate: " +
-        std::to_string(v.safety.move_certificates.size()) + " moves (" +
-        std::to_string(by[1]) + " all-X, " + std::to_string(by[2]) +
-        " unobservable, " + std::to_string(by[3]) + " fixpoint)";
-    v.cls.usage = budget.usage();
+    v.cls = certificate_result(v.safety, &budget);
   } else {
-    v.cls =
-        verify_cls_equivalence(original, v.retimed, options.verify, &budget);
+    v.cls = verify_cls_equivalence_after_certificate(original, v.retimed,
+                                                     options.verify, &budget);
   }
 
   // Corollary 5.3 is unconditional (given the all-X-preserving library);

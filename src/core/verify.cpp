@@ -1,9 +1,11 @@
 #include "core/verify.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "analysis/dataflow.hpp"
 #include "util/bits.hpp"
@@ -11,6 +13,17 @@
 namespace rtv {
 
 namespace {
+
+/// A proof by a static argument: no engine ran.
+ClsEquivalenceResult static_result(std::string reason, ResourceBudget* budget) {
+  ClsEquivalenceResult result;
+  result.equivalent = result.exhaustive = true;
+  result.verdict = Verdict::kProven;
+  result.decided_by = EquivalenceBackend::kStatic;
+  result.decided_reason = std::move(reason);
+  if (budget != nullptr) result.usage = budget->usage();
+  return result;
+}
 
 /// The static fast path: a whole-design proof from the ternary dataflow
 /// fixpoint, attempted before any state-space engine. Returns nullopt when
@@ -27,14 +40,35 @@ std::optional<ClsEquivalenceResult> try_static_proof(const Netlist& a,
   }
   const std::optional<std::string> proof = static_cls_equivalence_proof(a, b);
   if (!proof) return std::nullopt;
-  ClsEquivalenceResult result;
-  result.equivalent = true;
-  result.exhaustive = true;
-  result.verdict = Verdict::kProven;
-  result.decided_by = EquivalenceBackend::kStatic;
-  result.decided_reason = *proof;
-  if (budget != nullptr) result.usage = budget->usage();
-  return result;
+  return static_result(*proof, budget);
+}
+
+/// The certificate stage: sequence `a` by the lag recovered from `b` and
+/// certify every move. The sequenced design has b's graph, edge for edge,
+/// and designs with the same cells and weighted edges are CLS-identical
+/// (latches start at X, whatever their names or sharing), so the
+/// certificate carries over to `b`. nullopt says nothing about the designs.
+std::optional<ClsEquivalenceResult> try_certificate(const Netlist& a,
+                                                    const Netlist& b,
+                                                    ResourceBudget* budget) {
+  if (budget != nullptr && !budget->checkpoint("verify/certificate")) {
+    return std::nullopt;
+  }
+  const auto zero = [](const std::vector<int>& lag) {
+    return std::all_of(lag.begin(), lag.end(), [](int r) { return r == 0; });
+  };
+  RetimeGraph graph;
+  const std::optional<std::vector<int>> lag = recover_lag(a, b, &graph);
+  if (!lag) return std::nullopt;
+  // A zero lag means every edge kept its weight: b's graph is a's already.
+  if (zero(*lag)) return certificate_result(SafetyReport{}, budget);
+  SequencedRetiming seq;
+  const SafetyReport report = analyze_lag_retiming(a, graph, *lag, &seq);
+  if (!report.every_move_certified()) return std::nullopt;
+  const std::optional<std::vector<int>> rest = recover_lag(seq.retimed, b);
+  RTV_CHECK_MSG(rest && zero(*rest),
+                "the sequenced design's retiming graph differs from b's");
+  return certificate_result(report, budget);
 }
 
 /// A found counterexample must actually distinguish the designs under the
@@ -51,27 +85,18 @@ void validate_counterexample(const Netlist& a, const Netlist& b,
   }
 }
 
-ClsEquivalenceResult from_bdd(const BddClsOutcome& outcome,
-                              ResourceBudget* budget) {
+/// A BDD or SAT outcome as a result stamped with the engine's backend.
+template <typename Outcome>
+ClsEquivalenceResult from_engine(const Outcome& outcome,
+                                 ResourceBudget* budget) {
   ClsEquivalenceResult result;
   result.equivalent = outcome.equivalent;
   result.verdict = outcome.verdict;
   result.exhaustive = outcome.verdict == Verdict::kProven;
   result.counterexample = outcome.counterexample;
-  result.decided_by = EquivalenceBackend::kBdd;
-  result.decided_reason = outcome.note;
-  if (budget != nullptr) result.usage = budget->usage();
-  return result;
-}
-
-ClsEquivalenceResult from_sat(const SatClsOutcome& outcome,
-                              ResourceBudget* budget) {
-  ClsEquivalenceResult result;
-  result.equivalent = outcome.equivalent;
-  result.verdict = outcome.verdict;
-  result.exhaustive = outcome.verdict == Verdict::kProven;
-  result.counterexample = outcome.counterexample;
-  result.decided_by = EquivalenceBackend::kSat;
+  result.decided_by = std::is_same_v<Outcome, BddClsOutcome>
+                          ? EquivalenceBackend::kBdd
+                          : EquivalenceBackend::kSat;
   result.decided_reason = outcome.note;
   if (budget != nullptr) result.usage = budget->usage();
   return result;
@@ -266,24 +291,24 @@ ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,
   if (bdd_conclusive || sat_conclusive) {
     const int winner =
         first_conclusive >= 0 ? first_conclusive : (bdd_conclusive ? 0 : 1);
-    result = winner == 0 ? from_bdd(bdd_outcome, nullptr)
-                         : from_sat(sat_outcome, nullptr);
+    result = winner == 0 ? from_engine(bdd_outcome, nullptr)
+                         : from_engine(sat_outcome, nullptr);
     result.decided_reason = "portfolio: " + result.decided_reason +
                             (bdd_conclusive && sat_conclusive
                                  ? " [cross-checked: engines agree]"
                                  : "");
   } else if (sat_outcome.verdict == Verdict::kBounded) {
-    result = from_sat(sat_outcome, nullptr);
+    result = from_engine(sat_outcome, nullptr);
     result.decided_reason = "portfolio: no engine concluded; best evidence "
                             "from sat (" +
                             sat_outcome.note + ")";
   } else if (bdd_outcome.verdict == Verdict::kBounded) {
-    result = from_bdd(bdd_outcome, nullptr);
+    result = from_engine(bdd_outcome, nullptr);
     result.decided_reason = "portfolio: no engine concluded; best evidence "
                             "from bdd (" +
                             bdd_outcome.note + ")";
   } else {
-    result = from_sat(sat_outcome, nullptr);
+    result = from_engine(sat_outcome, nullptr);
     result.decided_reason = "portfolio: both engines exhausted (bdd: " +
                             bdd_outcome.note + "; sat: " + sat_outcome.note +
                             ")";
@@ -308,39 +333,33 @@ ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,
   return result;
 }
 
-}  // namespace
-
-ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
-                                            const VerifyOptions& options,
-                                            ResourceBudget* budget) {
+ClsEquivalenceResult verify(const Netlist& a, const Netlist& b,
+                            const VerifyOptions& options,
+                            ResourceBudget* budget, bool certificate_stage) {
   RTV_REQUIRE(a.primary_inputs().size() == b.primary_inputs().size(),
               "designs differ in primary input count");
   RTV_REQUIRE(a.primary_outputs().size() == b.primary_outputs().size(),
               "designs differ in primary output count");
 
-  // Static fast path: a fixpoint proof needs no state-space search, so it
-  // short-circuits before any backend is even constructed. The fixpoint
-  // over-approximates, so an inconclusive attempt proves nothing and falls
+  // Static fast path: a fixpoint proof, then a per-move certificate, need
+  // no state-space search, so they short-circuit before any backend is even
+  // constructed. Neither can disprove, so an inconclusive attempt falls
   // through; only the explicit kStatic backend reports it (honestly, as
   // kExhausted — "could not decide", never a fake verdict).
   if (options.allow_static_proof ||
       options.backend == EquivalenceBackend::kStatic) {
-    if (std::optional<ClsEquivalenceResult> static_result =
-            try_static_proof(a, b, budget)) {
-      return *static_result;
-    }
+    std::optional<ClsEquivalenceResult> proof = try_static_proof(a, b, budget);
+    if (!proof && certificate_stage) proof = try_certificate(a, b, budget);
+    if (proof) return *proof;
     if (options.backend == EquivalenceBackend::kStatic) {
       // kExhausted contract: `equivalent` means "no difference observed".
-      ClsEquivalenceResult result;
-      result.equivalent = true;
+      ClsEquivalenceResult result = static_result(
+          "static proof inconclusive: some paired primary output has a "
+          "non-singleton or differing value set, and no per-move "
+          "certificate covers the pair (select an engine backend to decide)",
+          budget);
       result.exhaustive = false;
       result.verdict = Verdict::kExhausted;
-      result.decided_by = EquivalenceBackend::kStatic;
-      result.decided_reason =
-          "static fixpoint proof inconclusive: some paired primary output "
-          "has a non-singleton or differing value set (select an engine "
-          "backend to decide)";
-      if (budget != nullptr) result.usage = budget->usage();
       return result;
     }
   }
@@ -351,10 +370,12 @@ ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
       result = check_cls_equivalence(a, b, options.explicit_opts, budget);
       break;
     case EquivalenceBackend::kBdd:
-      result = from_bdd(bdd_cls_equivalence(a, b, options.bdd, budget), budget);
+      result =
+          from_engine(bdd_cls_equivalence(a, b, options.bdd, budget), budget);
       break;
     case EquivalenceBackend::kSat:
-      result = from_sat(sat_cls_equivalence(a, b, options.sat, budget), budget);
+      result =
+          from_engine(sat_cls_equivalence(a, b, options.sat, budget), budget);
       break;
     case EquivalenceBackend::kPortfolio: {
       ResourceUsage stage;
@@ -371,6 +392,26 @@ ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
   }
   validate_counterexample(a, b, result);
   return result;
+}
+
+}  // namespace
+
+ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
+                                            const VerifyOptions& options,
+                                            ResourceBudget* budget) {
+  return verify(a, b, options, budget, /*certificate_stage=*/true);
+}
+
+ClsEquivalenceResult verify_cls_equivalence_after_certificate(
+    const Netlist& a, const Netlist& b, const VerifyOptions& options,
+    ResourceBudget* budget) {
+  return verify(a, b, options, budget, /*certificate_stage=*/false);
+}
+
+ClsEquivalenceResult certificate_result(const SafetyReport& report,
+                                        ResourceBudget* budget) {
+  return static_result("per-move certificate: " + report.certificate_census(),
+                       budget);
 }
 
 }  // namespace rtv

@@ -6,12 +6,17 @@
 // engine's sub-options; every result is a ClsEquivalenceResult stamped with
 // which backend decided (decided_by) and why (decided_reason).
 //
-// Portfolio mode runs in stages: the static fixpoint, then an explicit
-// stage, then a race. The explicit stage gives narrow designs (at most 6
-// inputs, pair BFS eligible) the packed pair BFS on the calling thread,
-// within min(4096, 2^17 / 3^inputs) state pairs; a conclusive answer there
-// is returned stamped decided_by = kExplicit. Otherwise the BDD and SAT
-// backends are raced concurrently on the rest of the budget, each under
+// Every backend first tries the static fixpoint, then the certificate of a
+// recovered lag: when `b` is a retiming of `a` (recover_lag in
+// retime/graph.hpp) whose every move carries Thm 5.1's per-move
+// certificate, the pair is proven with no engine run.
+//
+// Portfolio mode then runs an explicit stage, then a race. The explicit
+// stage gives narrow designs (at most 6 inputs, pair BFS eligible) the
+// packed pair BFS on the calling thread, within min(4096, 2^17 / 3^inputs)
+// state pairs; a conclusive answer there is returned stamped decided_by =
+// kExplicit. Otherwise the BDD and SAT backends are raced concurrently on
+// the rest of the budget, each under
 // its own slice of it (so one engine exhausting its slice can never poison
 // the other); the loser is cancelled as soon as either produces a
 // conclusive (kProven) answer, and — whenever both engines conclude —
@@ -23,6 +28,7 @@
 
 #include "bdd/cls_bdd.hpp"
 #include "core/cls_equiv.hpp"
+#include "core/safety.hpp"
 #include "sat/equiv.hpp"
 
 namespace rtv {
@@ -35,12 +41,11 @@ struct VerifyOptions {
   ClsEquivOptions explicit_opts;
   BddEquivOptions bdd;
   SatEquivOptions sat;
-  /// Try the ternary dataflow fixpoint (analysis/dataflow.hpp) before
-  /// dispatching to the selected engine: when every paired primary output
-  /// carries the same singleton fixpoint set, equivalence is proven with no
-  /// state-space search and the result is stamped decided_by = kStatic.
-  /// The fixpoint can only prove, never disprove, so an inconclusive
-  /// attempt just falls through to the selected backend.
+  /// Try the ternary dataflow fixpoint (analysis/dataflow.hpp: every
+  /// paired primary output carries the same singleton set), then the
+  /// certificate of a recovered lag, before dispatching to the selected
+  /// engine. Either proves with no state-space search, stamped decided_by =
+  /// kStatic; neither can disprove, so an inconclusive attempt falls through.
   bool allow_static_proof = true;
 };
 
@@ -63,5 +68,16 @@ class BackendDisagreement : public InternalError {
 ClsEquivalenceResult verify_cls_equivalence(const Netlist& a, const Netlist& b,
                                             const VerifyOptions& options = {},
                                             ResourceBudget* budget = nullptr);
+
+/// verify_cls_equivalence without its certificate stage, for a caller that
+/// has already judged the certificate of the plan relating `a` to `b`.
+ClsEquivalenceResult verify_cls_equivalence_after_certificate(
+    const Netlist& a, const Netlist& b, const VerifyOptions& options = {},
+    ResourceBudget* budget = nullptr);
+
+/// The verdict of a complete per-move certificate: proven, decided_by =
+/// kStatic, reason "per-move certificate: " + report.certificate_census().
+ClsEquivalenceResult certificate_result(const SafetyReport& report,
+                                        ResourceBudget* budget);
 
 }  // namespace rtv

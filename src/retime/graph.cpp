@@ -1,7 +1,10 @@
 #include "retime/graph.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 namespace rtv {
 
@@ -39,6 +42,7 @@ RetimeGraph RetimeGraph::from_netlist(const Netlist& netlist,
   // One edge per wire chain ending at a combinational pin or a PO pin.
   // Walking backwards from the pin through the latch chain yields the
   // weight and the true source (combinational port, or PI -> host).
+  const int max_chain = static_cast<int>(netlist.num_slots());
   const auto trace = [&](PinRef pin) -> Edge {
     Edge e;
     e.dst_pin = pin;
@@ -48,11 +52,13 @@ RetimeGraph RetimeGraph::from_netlist(const Netlist& netlist,
     int latches = 0;
     PortRef drv = netlist.driver(pin);
     RTV_REQUIRE(drv.valid(), "retiming graph requires fully connected pins");
-    while (netlist.kind(drv.node) == CellKind::kLatch) {
+    while (netlist.kind(drv.node) == CellKind::kLatch && latches <= max_chain) {
       ++latches;
       drv = netlist.driver(PinRef(drv.node, 0));
       RTV_REQUIRE(drv.valid(), "latch with unconnected data pin");
     }
+    // A chain longer than the netlist is a latch-only cycle into this pin.
+    RTV_REQUIRE(latches <= max_chain, "latch-only cycle feeds a pin");
     e.weight = latches;
     e.src_port = drv;
     e.from = is_combinational(netlist.kind(drv.node))
@@ -192,6 +198,132 @@ std::vector<int> RetimeGraph::degree_imbalance() const {
     a[e.from] -= 1;
   }
   return a;
+}
+
+namespace {
+
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// Name-matched image in `b` of each of `a`'s vertices (hosts to hosts),
+/// or empty when some cell has no unique counterpart of the same shape.
+std::vector<std::uint32_t> match_vertices(const Netlist& a,
+                                          const RetimeGraph& ga,
+                                          const Netlist& b,
+                                          const RetimeGraph& gb) {
+  std::unordered_map<std::string_view, std::uint32_t> by_name;
+  by_name.reserve(gb.num_vertices());
+  for (std::uint32_t v = 2; v < gb.num_vertices(); ++v) {
+    const auto [it, fresh] = by_name.emplace(b.name(gb.vertex_origin(v)), v);
+    if (!fresh) it->second = kNone;  // a repeated name matches nothing
+  }
+  std::vector<std::uint32_t> to_b{RetimeGraph::kHostSource,
+                                  RetimeGraph::kHostSink};
+  std::vector<bool> taken(gb.num_vertices(), false);
+  for (std::uint32_t v = 2; v < ga.num_vertices(); ++v) {
+    const Node& x = a.node(ga.vertex_origin(v));
+    const auto it = by_name.find(x.name);
+    if (x.name.empty() || it == by_name.end() || it->second == kNone ||
+        taken[it->second]) {
+      return {};
+    }
+    const Node& y = b.node(gb.vertex_origin(it->second));
+    if (x.kind != y.kind || x.num_pins() != y.num_pins() ||
+        x.num_ports() != y.num_ports() ||
+        (x.kind == CellKind::kTable && a.table(x.table) != b.table(y.table))) {
+      return {};
+    }
+    taken[it->second] = true;
+    to_b.push_back(it->second);
+  }
+  return to_b;
+}
+
+}  // namespace
+
+std::optional<std::vector<int>> recover_lag(const Netlist& a, const Netlist& b,
+                                            RetimeGraph* graph_a) {
+  // A retiming keeps the interface and every combinational cell, and `a`
+  // must meet the sequencer's precondition. Once the edges match, b's
+  // cycles are a's with the same weights, so b needs no check of its own.
+  if (a.primary_inputs().size() != b.primary_inputs().size() ||
+      a.primary_outputs().size() != b.primary_outputs().size() ||
+      a.num_gates() != b.num_gates() || !a.is_junction_normal() ||
+      !a.every_cycle_has_latch()) {
+    return std::nullopt;
+  }
+  RetimeGraph ga, gb;
+  try {
+    ga = RetimeGraph::from_netlist(a);
+    gb = RetimeGraph::from_netlist(b);
+  } catch (const InvalidArgument&) {  // an unconnected pin, a latch-only cycle
+    return std::nullopt;
+  }
+  const std::vector<std::uint32_t> to_b = match_vertices(a, ga, b, gb);
+  if (to_b.empty()) return std::nullopt;
+
+  // Edge bijection: a vertex's in-edges are in pin order (the host sink's
+  // in primary-output order), and b's edge into each matched pin must come
+  // from the image of the same source port, or the primary input of the
+  // same index. delta is its weight change, lag(to) - lag(from).
+  std::vector<std::uint32_t> pi_a(a.num_slots()), pi_b(b.num_slots());
+  for (std::uint32_t k = 0; k < a.primary_inputs().size(); ++k) {
+    pi_a[a.primary_inputs()[k].value] = pi_b[b.primary_inputs()[k].value] = k;
+  }
+  std::vector<int> delta(ga.num_edges());
+  for (std::uint32_t v = RetimeGraph::kHostSink; v < ga.num_vertices(); ++v) {
+    const std::vector<std::uint32_t>& into_a = ga.in_edges(v);
+    const std::vector<std::uint32_t>& into_b = gb.in_edges(to_b[v]);
+    for (std::size_t pin = 0; pin < into_a.size(); ++pin) {
+      const RetimeGraph::Edge& e = ga.edge(into_a[pin]);
+      const RetimeGraph::Edge& f = gb.edge(into_b[pin]);
+      const bool same_source =
+          e.from == RetimeGraph::kHostSource
+              ? f.from == RetimeGraph::kHostSource &&
+                    pi_b[f.src_port.node.value] == pi_a[e.src_port.node.value]
+              : f.from == to_b[e.from] && f.src_port.port == e.src_port.port;
+      if (!same_source) return std::nullopt;
+      delta[into_a[pin]] = f.weight - e.weight;
+    }
+  }
+
+  // One BFS from both hosts, then from one anchor per host-disconnected
+  // component, all at lag 0; an edge whose delta disagrees with its
+  // endpoints' lags is a weight change no retiming explains.
+  const std::uint32_t n = ga.num_vertices();
+  std::vector<int> lag(n, INT_MIN);
+  std::vector<std::uint32_t> queue;
+  queue.reserve(n);
+  const auto reach = [&](std::uint32_t v, int value) {
+    if (lag[v] != INT_MIN) return lag[v] == value;
+    lag[v] = value;
+    queue.push_back(v);
+    return true;
+  };
+  reach(RetimeGraph::kHostSource, 0);
+  reach(RetimeGraph::kHostSink, 0);
+  for (std::uint32_t head = 0, anchor = 2;; reach(anchor, 0)) {
+    for (; head < queue.size(); ++head) {
+      const std::uint32_t u = queue[head];
+      for (const std::uint32_t i : ga.out_edges(u)) {
+        if (!reach(ga.edge(i).to, lag[u] + delta[i])) return std::nullopt;
+      }
+      for (const std::uint32_t i : ga.in_edges(u)) {
+        if (!reach(ga.edge(i).from, lag[u] - delta[i])) return std::nullopt;
+      }
+    }
+    while (anchor < n && lag[anchor] != INT_MIN) ++anchor;
+    if (anchor == n) break;
+  }
+  RTV_CHECK(ga.legal_retiming(lag));
+  // A moved cell needs a latch chain into an edge on every port.
+  for (std::uint32_t v = 2; v < n; ++v) {
+    const std::size_t ports = a.num_ports(ga.vertex_origin(v));
+    if (lag[v] != 0 && (ports == 0 || ga.out_edges(v).size() != ports)) {
+      return std::nullopt;
+    }
+  }
+  if (graph_a != nullptr) *graph_a = std::move(ga);
+  return lag;
 }
 
 }  // namespace rtv

@@ -12,6 +12,7 @@
 // (our default netlist normal form) the ambiguity disappears.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,5 +108,15 @@ class RetimeGraph {
   std::vector<std::vector<std::uint32_t>> out_;
   std::vector<std::vector<std::uint32_t>> in_;
 };
+
+/// The lag that retimes `a` into `b`, solved from the Leiserson–Saxe
+/// relation w_b(e) = w_a(e) + lag(to) - lag(from), 0 at the hosts and at one
+/// anchor per host-disconnected component; sequence_retiming(a, graph_a,
+/// lag) then reaches b's graph. nullopt unless `a` is junction-normal with a
+/// latch on every cycle and `b` has a's cells (by name: kind, pins, ports,
+/// table) and edges (source port, or primary-input index), and every moved
+/// cell has an edge out of every port. `graph_a` receives a's graph.
+std::optional<std::vector<int>> recover_lag(const Netlist& a, const Netlist& b,
+                                            RetimeGraph* graph_a = nullptr);
 
 }  // namespace rtv

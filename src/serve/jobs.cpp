@@ -239,6 +239,7 @@ JobOutput validate_job(const JsonValue& options, const JobDesigns& designs,
   result.emplace_back("cls_exhaustive", JsonValue(v.cls.exhaustive));
   result.emplace_back("decided_by",
                       JsonValue(std::string(to_string(v.cls.decided_by))));
+  result.emplace_back("decided_reason", JsonValue(v.cls.decided_reason));
   result.emplace_back("stg_checked", JsonValue(v.stg_checked));
   result.emplace_back("safe_replacement", JsonValue(v.safe_replacement));
   result.emplace_back("min_delay_implication",

@@ -677,12 +677,12 @@ void Server::serve_fd(int fd) {
     if (write_dead->load(std::memory_order_relaxed)) return;
     std::string out = frame;
     out.push_back('\n');
-    const std::optional<Clock::time_point> give_up =
+    // time_point::max() stands for "no write deadline".
+    const Clock::time_point give_up =
         options_.write_timeout_ms != 0
-            ? std::optional<Clock::time_point>(
-                  Clock::now() +
-                  std::chrono::milliseconds(options_.write_timeout_ms))
-            : std::nullopt;
+            ? Clock::now() +
+                  std::chrono::milliseconds(options_.write_timeout_ms)
+            : Clock::time_point::max();
     std::size_t off = 0;
     while (off < out.size()) {
       // MSG_NOSIGNAL: a client that hung up must cost us an error return,
@@ -698,9 +698,9 @@ void Server::serve_fd(int fd) {
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         int wait_ms = -1;
-        if (give_up) {
+        if (give_up != Clock::time_point::max()) {
           const double remaining =
-              std::chrono::duration<double, std::milli>(*give_up -
+              std::chrono::duration<double, std::milli>(give_up -
                                                         Clock::now())
                   .count();
           if (remaining <= 0) {

@@ -432,12 +432,14 @@ TEST(StaticProof, DecidesStuckAtXDesignsBeforeAnyEngine) {
 
 TEST(StaticProof, ExplicitStaticBackendReportsInconclusiveHonestly) {
   // inverter_pipeline's output set is ⊤ (it tracks the input), so the
-  // fixpoint cannot decide; the dedicated static backend must say so
-  // instead of inventing a verdict.
+  // fixpoint cannot decide, and the buffered copy has one cell more, so no
+  // recovered lag carries a per-move certificate; the dedicated static
+  // backend must say so instead of inventing a verdict.
   const Netlist n = inverter_pipeline();
   VerifyOptions opt;
   opt.backend = EquivalenceBackend::kStatic;
-  const ClsEquivalenceResult r = verify_cls_equivalence(n, n, opt);
+  const ClsEquivalenceResult r =
+      verify_cls_equivalence(n, testing::with_output_buffer(n), opt);
   // kExhausted contract: `equivalent` means "no difference observed", and
   // the summary reads undecided, never equivalent or distinguishable.
   EXPECT_TRUE(r.equivalent);

@@ -1,9 +1,9 @@
 // Fault-injection sweep (util/fault_inject.hpp): arm the harness to trip
 // budget exhaustion at the N-th checkpoint, for every N reachable in a full
-// validate + flow + faultsim workload, and assert a well-formed, honestly
-// labeled partial report at every single trip point. Run under ASan/UBSan
-// in CI, this is the executable proof that no exhaustion path crashes,
-// leaks, or masquerades as a proof.
+// validate + cls-equiv + flow + faultsim workload, and assert a well-formed,
+// honestly labeled partial report at every single trip point. Run under
+// ASan/UBSan in CI, this is the executable proof that no exhaustion path
+// crashes, leaks, or masquerades as a proof.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +32,7 @@ using testing::toggle_circuit;
 /// options keep a single run fast enough to repeat once per checkpoint.
 struct WorkloadReport {
   RetimingValidation validation;
+  ClsEquivalenceResult equiv;
   FlowReport flow;
   FaultSimResult faultsim;
   std::size_t faultsim_faults = 0;
@@ -55,6 +56,14 @@ WorkloadReport run_workload() {
     opt.verify.explicit_opts.random_sequences = 4;
     opt.verify.explicit_opts.random_length = 4;
     w.validation = validate_retiming(n, g, min_area_retime(g).lag, opt);
+  }
+
+  // cls-equiv: the same pair with no plan given, which the certificate
+  // stage of verify_cls_equivalence decides from the recovered lag.
+  {
+    ResourceBudget budget;  // unlimited, but still drives fault injection
+    w.equiv = verify_cls_equivalence(inverter_pipeline(), w.validation.retimed,
+                                     VerifyOptions{}, &budget);
   }
 
   // flow: cleanup + retiming + redundancy removal + the CLS gate.
@@ -193,6 +202,15 @@ void expect_well_formed(const WorkloadReport& w, std::uint64_t trip_point) {
     EXPECT_EQ(vs.find("verdict:  proven"), std::string::npos);
   }
 
+  // -- cls-equiv -------------------------------------------------------
+  // A trip anywhere, the certificate stage included, never yields proven.
+  const ClsEquivalenceResult& e = w.equiv;
+  EXPECT_TRUE(e.equivalent);
+  EXPECT_EQ(e.exhaustive, e.verdict == Verdict::kProven);
+  if (e.usage.exhausted) {
+    EXPECT_EQ(e.verdict, Verdict::kExhausted);
+  }
+
   // -- flow ------------------------------------------------------------
   const FlowReport& f = w.flow;
   if (f.usage.exhausted) {
@@ -255,6 +273,8 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   // have actually collected and sifted, or the sweep would never exercise
   // the maintenance checkpoints it exists to trip.
   EXPECT_EQ(w.validation.verdict, Verdict::kProven);
+  EXPECT_EQ(w.equiv.verdict, Verdict::kProven);
+  EXPECT_EQ(w.equiv.decided_by, EquivalenceBackend::kStatic);
   EXPECT_TRUE(w.flow.accepted());
   EXPECT_TRUE(w.faultsim.complete);
   EXPECT_FALSE(w.bdd_exhausted);
@@ -266,7 +286,8 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   EXPECT_GE(total, 30u);
   EXPECT_GE(sites.size(), 8u);
   std::size_t cls_sites = 0, stg_sites = 0, flow_sites = 0, fault_sites = 0;
-  bool saw_bdd_gc = false, saw_bdd_reorder = false, saw_certificate = false;
+  bool saw_bdd_gc = false, saw_bdd_reorder = false, saw_certificate = false,
+       saw_verify_certificate = false;
   for (const std::string& s : sites) {
     cls_sites += s.rfind("cls/", 0) == 0;
     stg_sites += s.rfind("stg/", 0) == 0;
@@ -275,6 +296,7 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
     saw_bdd_gc |= s == "bdd/gc";
     saw_bdd_reorder |= s == "bdd/reorder";
     saw_certificate |= s == "validate/certificate";
+    saw_verify_certificate |= s == "verify/certificate";
   }
   EXPECT_GT(cls_sites, 0u) << "no CLS checkpoints seen";
   EXPECT_GT(stg_sites, 0u) << "no STG checkpoints seen";
@@ -285,6 +307,8 @@ TEST(FaultInjectSweep, CensusCoversTheRequiredInjectionSurface) {
   // validate's certificate stage is tripped too, so the sweep proves an
   // exhaustion there never yields a proven verdict.
   EXPECT_TRUE(saw_certificate) << "no certificate checkpoint seen";
+  EXPECT_TRUE(saw_verify_certificate)
+      << "no cls-equiv certificate checkpoint seen";
 }
 
 TEST(FaultInjectSweep, EveryInjectionPointDegradesGracefully) {

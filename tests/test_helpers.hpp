@@ -80,6 +80,16 @@ inline Netlist wide_pipeline() {
   return n;
 }
 
+/// `n` with one BUF on the wire into its first primary output: still
+/// CLS-equivalent to `n`, but one cell more, so no lag relates the two and
+/// the per-move certificate declines the pair.
+inline Netlist with_output_buffer(Netlist n) {
+  const PinRef out(n.primary_outputs().front(), 0);
+  n.insert_on_wire(n.driver(out), out, CellKind::kBuf);
+  n.check_valid(true);
+  return n;
+}
+
 /// const0 -> latch -> XOR with input a -> out. Moving the latch backward
 /// across the constant (what min-area retiming does) makes the output
 /// definite one cycle early: the plan breaks Theorem 5.1's premise and

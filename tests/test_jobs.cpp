@@ -102,6 +102,8 @@ TEST(Jobs, ValidateIsDecidedByThePerMoveCertificate) {
                                   "{\"backend\":\"bdd\"}");
   EXPECT_EQ(write_json(both.served), write_json(both.direct.result));
   EXPECT_EQ(both.served.find("decided_by")->as_string(), "static");
+  const std::string reason = both.served.find("decided_reason")->as_string();
+  EXPECT_EQ(reason.rfind("per-move certificate: ", 0), 0u) << reason;
   EXPECT_TRUE(both.served.find("cls_exhaustive")->as_bool());
   EXPECT_EQ(both.direct.verdict, "proven");
 
@@ -112,8 +114,8 @@ TEST(Jobs, ValidateIsDecidedByThePerMoveCertificate) {
   env.want_text = true;
   const std::string text =
       serve::run_job(JobType::kValidate, JsonValue(), designs, env).text;
-  EXPECT_NE(text.find("decided:  static (per-move certificate: "),
-            std::string::npos)
+  // The text report's decided: line and the result carry the same reason.
+  EXPECT_NE(text.find("decided:  static (" + reason + ")"), std::string::npos)
       << text;
 }
 

@@ -301,11 +301,14 @@ TEST(Server, SemanticLintAndStaticProofRoundTripOverTheWire) {
   EXPECT_EQ(equiv.find("result")->find("decided_by")->as_string(), "static");
   EXPECT_EQ(verdict_of(equiv), "proven");
 
-  // The explicit static backend answers honestly when it cannot decide.
+  // The explicit static backend answers honestly when it cannot decide:
+  // the buffered copy defeats both the fixpoint and the certificate.
   const std::string pipeline = write_rnl(testing::inverter_pipeline());
+  const std::string buffered = write_rnl(
+      testing::with_output_buffer(testing::inverter_pipeline()));
   const JsonValue und = parse_response(server.handle_line(frame(
       "su", "cls-equivalence",
-      design_field(pipeline) + ",\"design_b\":\"" + json_escape(pipeline) +
+      design_field(pipeline) + ",\"design_b\":\"" + json_escape(buffered) +
           "\",\"options\":{\"backend\":\"static\"}")));
   ASSERT_TRUE(response_ok(und));
   // kExhausted contract: "equivalent" only means no difference observed.
@@ -316,9 +319,12 @@ TEST(Server, SemanticLintAndStaticProofRoundTripOverTheWire) {
 
 TEST(Server, ClsEquivalenceBackendSelectionRoundTrips) {
   Server server(small_server_options());
+  // The buffer keeps the per-move certificate from deciding the pair, so
+  // the selected backend does.
   const std::string pair =
       design_field(write_rnl(figure1_original())) + ",\"design_b\":\"" +
-      json_escape(write_rnl(figure1_retimed())) + "\"";
+      json_escape(write_rnl(testing::with_output_buffer(figure1_retimed()))) +
+      "\"";
   for (const std::string backend : {"explicit", "bdd", "sat", "portfolio"}) {
     const JsonValue r = parse_response(server.handle_line(
         frame("be-" + backend, "cls-equivalence",
@@ -340,12 +346,14 @@ TEST(Server, ClsEquivalenceBackendSelectionRoundTrips) {
     }
   }
 
-  // Seven inputs skip the stage: the race winner is timing-dependent but
-  // must be a real engine.
+  // Seven inputs skip the explicit stage, and the buffer the certificate:
+  // the race winner is timing-dependent but must be a real engine.
   const std::string wide = write_rnl(testing::wide_pipeline());
+  const std::string wide_b =
+      write_rnl(testing::with_output_buffer(testing::wide_pipeline()));
   const JsonValue raced = parse_response(server.handle_line(
       frame("be-wide", "cls-equivalence",
-            design_field(wide) + ",\"design_b\":\"" + json_escape(wide) +
+            design_field(wide) + ",\"design_b\":\"" + json_escape(wide_b) +
                 "\",\"options\":{\"backend\":\"portfolio\"}")));
   ASSERT_TRUE(response_ok(raced));
   const JsonValue* raced_result = raced.find("result");

@@ -146,8 +146,10 @@ enum ExitCode : int {
                "  --backend B          explicit (default) | bdd | sat |"
                " portfolio | static\n"
                "                       (engine matrix in docs/backends.md;\n"
-               "                       every backend tries the static\n"
-               "                       ternary-fixpoint proof first)\n"
+               "                       every backend first tries the\n"
+               "                       ternary-fixpoint proof, then the\n"
+               "                       per-move certificate of a recovered\n"
+               "                       lag when B is a retiming of A)\n"
                "  --bdd-gc on|off      reclaim dead BDD nodes under\n"
                "                       allocation pressure (default off)\n"
                "  --bdd-reorder MODE   off (default) | pressure: Rudell\n"
