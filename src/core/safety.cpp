@@ -61,14 +61,20 @@ bool cross_check_static(const Netlist& netlist,
 constexpr std::size_t kClsCertifyBudget = 4'000'000;
 
 /// A visitor for the replay that applies the moves: it appends each
-/// move's certificate to `out`, judged at the move's own position.
+/// move's certificate to `out`, judged at the move's own position. Without
+/// `census`, moves after the first uncertified one are not tried.
 MoveVisitor certifier(const Netlist& netlist, std::size_t moves,
-                      std::vector<MoveCertificate>& out) {
+                      std::vector<MoveCertificate>& out, bool census = true) {
   out.reserve(moves);
   const bool try_fixpoint = moves * netlist.num_slots() <= kClsCertifyBudget;
-  return [&out, try_fixpoint, observable = observable_mask(netlist)](
+  return [&out, try_fixpoint, census, observable = observable_mask(netlist)](
              const Netlist& before, const RetimingMove& move) {
-    out.push_back(certify_move(before, move, observable, try_fixpoint));
+    if (!census && !out.empty() && !out.back().certified) {
+      out.push_back({false, CertificateArgument::kNone,
+                     "not tried: an earlier move is uncertified"});
+    } else {
+      out.push_back(certify_move(before, move, observable, try_fixpoint));
+    }
   };
 }
 
@@ -96,14 +102,15 @@ SafetyReport make_report(const Netlist& netlist, const SequencedRetiming& seq,
 SafetyReport analyze_lag_retiming(const Netlist& netlist,
                                   const RetimeGraph& graph,
                                   const std::vector<int>& lag,
-                                  SequencedRetiming* sequenced) {
+                                  SequencedRetiming* sequenced,
+                                  bool census) {
   std::size_t planned = 0;  // each unit of lag is one move
   for (std::size_t v = 2; v < lag.size(); ++v) {
     planned += static_cast<std::size_t>(std::abs(lag[v]));
   }
   std::vector<MoveCertificate> certificates;
   SequencedRetiming seq = sequence_retiming(
-      netlist, graph, lag, certifier(netlist, planned, certificates));
+      netlist, graph, lag, certifier(netlist, planned, certificates, census));
   SafetyReport report = make_report(netlist, seq, std::move(certificates));
   if (sequenced != nullptr) *sequenced = std::move(seq);
   return report;

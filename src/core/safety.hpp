@@ -58,11 +58,14 @@ struct SafetyReport {
 };
 
 /// Analyzes a lag assignment by sequencing it into atomic moves; also
-/// returns the retimed netlist via `sequenced` if non-null.
+/// returns the retimed netlist via `sequenced` if non-null. With `census`
+/// false only every_move_certified() is wanted: moves after the first
+/// uncertified one are marked uncertified without being tried.
 SafetyReport analyze_lag_retiming(const Netlist& netlist,
                                   const RetimeGraph& graph,
                                   const std::vector<int>& lag,
-                                  SequencedRetiming* sequenced = nullptr);
+                                  SequencedRetiming* sequenced = nullptr,
+                                  bool census = true);
 
 /// Analyzes an explicit move sequence, applying it to a copy of the
 /// netlist; the result is written to `retimed` if non-null.

@@ -65,9 +65,13 @@ RetimingValidation validate_retiming(const Netlist& original,
     } else {
       try {
         // Compute everything into locals and commit at the end: an
-        // exhaustion mid-phase must not leave half-true exact flags.
-        const Stg d = Stg::extract(original, kDefaultStgEntryCap, &budget);
-        const Stg c = Stg::extract(v.retimed, kDefaultStgEntryCap, &budget);
+        // exhaustion mid-phase must not leave half-true exact flags. ⊑, ≼
+        // and D^n depend only on state behaviours, so the Mealy quotients
+        // decide them exactly (docs/algorithms.md).
+        const Stg d =
+            Stg::extract_minimized(original, kDefaultStgEntryCap, &budget);
+        const Stg c =
+            Stg::extract_minimized(v.retimed, kDefaultStgEntryCap, &budget);
         const bool implication = implies(c, d, &budget);
         const bool safe_repl = safe_replacement(c, d, &budget);
         const int min_delay =

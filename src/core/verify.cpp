@@ -63,7 +63,8 @@ std::optional<ClsEquivalenceResult> try_certificate(const Netlist& a,
   // A zero lag means every edge kept its weight: b's graph is a's already.
   if (zero(*lag)) return certificate_result(SafetyReport{}, budget);
   SequencedRetiming seq;
-  const SafetyReport report = analyze_lag_retiming(a, graph, *lag, &seq);
+  const SafetyReport report =
+      analyze_lag_retiming(a, graph, *lag, &seq, /*census=*/false);
   if (!report.every_move_certified()) return std::nullopt;
   const std::optional<std::vector<int>> rest = recover_lag(seq.retimed, b);
   RTV_CHECK_MSG(rest && zero(*rest),

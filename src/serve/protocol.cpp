@@ -31,27 +31,23 @@ std::optional<std::uint64_t> opt_uint(const JsonValue& doc, const char* key) {
   return static_cast<std::uint64_t>(d);
 }
 
-JsonValue::Object usage_object(const ResourceUsage& usage) {
-  JsonValue::Object o;
-  o.emplace_back("wall_ms", JsonValue(usage.wall_ms));
-  o.emplace_back("steps", JsonValue(static_cast<double>(usage.steps)));
-  o.emplace_back("peak_bdd_nodes",
-                 JsonValue(static_cast<double>(usage.peak_bdd_nodes)));
-  o.emplace_back("state_pairs",
-                 JsonValue(static_cast<double>(usage.state_pairs)));
-  o.emplace_back("bdd_gc_runs",
-                 JsonValue(static_cast<double>(usage.bdd_gc_runs)));
-  o.emplace_back("bdd_nodes_reclaimed",
-                 JsonValue(static_cast<double>(usage.bdd_nodes_reclaimed)));
-  o.emplace_back("bdd_reorder_runs",
-                 JsonValue(static_cast<double>(usage.bdd_reorder_runs)));
-  o.emplace_back("peak_live_bdd_nodes",
-                 JsonValue(static_cast<double>(usage.peak_live_bdd_nodes)));
-  o.emplace_back("exhausted", JsonValue(usage.exhausted));
-  o.emplace_back("blown", usage.blown
-                              ? JsonValue(std::string(to_string(*usage.blown)))
-                              : JsonValue(nullptr));
-  return o;
+JsonValue usage_object(const ResourceUsage& usage) {
+  const auto count = [](std::uint64_t n) {
+    return JsonValue(static_cast<double>(n));
+  };
+  return JsonValue(JsonValue::Object{
+      {"wall_ms", JsonValue(usage.wall_ms)},
+      {"steps", count(usage.steps)},
+      {"peak_bdd_nodes", count(usage.peak_bdd_nodes)},
+      {"state_pairs", count(usage.state_pairs)},
+      {"bdd_gc_runs", count(usage.bdd_gc_runs)},
+      {"bdd_nodes_reclaimed", count(usage.bdd_nodes_reclaimed)},
+      {"bdd_reorder_runs", count(usage.bdd_reorder_runs)},
+      {"peak_live_bdd_nodes", count(usage.peak_live_bdd_nodes)},
+      {"exhausted", JsonValue(usage.exhausted)},
+      {"blown", usage.blown ? JsonValue(std::string(to_string(*usage.blown)))
+                            : JsonValue(nullptr)},
+  });
 }
 
 }  // namespace
@@ -197,14 +193,13 @@ std::string render_response(const std::string& id, JobType type,
   }
   frame.emplace_back("result", result);
 
-  JsonValue::Object s;
-  s.emplace_back("queue_ms", JsonValue(stats.queue_ms));
-  s.emplace_back("run_ms", JsonValue(stats.run_ms));
-  s.emplace_back("cache_hit", JsonValue(stats.cache_hit));
-  s.emplace_back("verdict", JsonValue(stats.verdict));
-  if (stats.governed) {
-    s.emplace_back("usage", JsonValue(usage_object(stats.usage)));
-  }
+  JsonValue::Object s{
+      {"queue_ms", JsonValue(stats.queue_ms)},
+      {"run_ms", JsonValue(stats.run_ms)},
+      {"cache_hit", JsonValue(stats.cache_hit)},
+      {"verdict", JsonValue(stats.verdict)},
+  };
+  if (stats.governed) s.emplace_back("usage", usage_object(stats.usage));
   frame.emplace_back("stats", JsonValue(std::move(s)));
   return write_json(JsonValue(std::move(frame)));
 }

@@ -17,17 +17,6 @@ namespace {
 
 using StateSet = std::vector<std::uint64_t>;
 
-struct SetHash {
-  std::size_t operator()(const StateSet& v) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::uint64_t w : v) {
-      h ^= w;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 std::size_t set_count(const StateSet& set) {
   std::size_t n = 0;
   for (const std::uint64_t w : set) n += static_cast<std::size_t>(popcount64(w));
@@ -66,7 +55,7 @@ bool find_initializing_sequence(const Stg& stg, unsigned max_len,
     StateSet set;
     std::vector<std::uint64_t> path;
   };
-  std::unordered_set<StateSet, SetHash> visited;
+  std::unordered_set<StateSet, WordsHash> visited;
   std::deque<Entry> queue;
   StateSet start = full_set(stg);
   if (set_count(start) == 1) {

@@ -6,83 +6,29 @@
 // worst case with hashing-based splits — ample for the exhaustively
 // extracted machines this library handles.
 
+#include <algorithm>
 #include <unordered_map>
 
+#include "stg/refine.hpp"
 #include "stg/stg.hpp"
+#include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace rtv {
 
-namespace {
-
-// FNV-1a over a vector of 64-bit words.
-struct VecHash {
-  std::size_t operator()(const std::vector<std::uint64_t>& v) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::uint64_t w : v) {
-      h ^= w;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-}  // namespace
-
 std::vector<std::uint32_t> equivalence_classes(const Stg& stg,
                                                ResourceBudget* budget) {
-  const std::uint64_t n = stg.num_states();
-  const std::uint64_t ni = stg.num_inputs();
-  std::vector<std::uint32_t> cls(n, 0);
-
   // Initial split by output rows.
-  {
-    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, VecHash> ids;
-    std::vector<std::uint64_t> sig(ni);
-    for (std::uint64_t s = 0; s < n; ++s) {
-      for (std::uint64_t a = 0; a < ni; ++a) sig[a] = stg.output(s, a);
-      const auto [it, inserted] =
-          ids.emplace(sig, static_cast<std::uint32_t>(ids.size()));
-      cls[s] = it->second;
-    }
+  const std::uint64_t ni = stg.num_inputs();
+  std::vector<std::uint32_t> cls(stg.num_states());
+  std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, WordsHash> ids;
+  for (std::uint64_t s = 0; s < cls.size(); ++s) {
+    const std::uint64_t* row = stg.output_row(s);
+    cls[s] = ids.try_emplace(std::vector<std::uint64_t>(row, row + ni),
+                             static_cast<std::uint32_t>(ids.size()))
+                 .first->second;
   }
-
-  // Refine until stable.
-  for (;;) {
-    if (budget != nullptr) budget->checkpoint_or_throw("stg/refine-iter");
-    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, VecHash> ids;
-    std::vector<std::uint32_t> next_cls(n);
-    std::vector<std::uint64_t> sig(ni + 1);
-    for (std::uint64_t s = 0; s < n; ++s) {
-      sig[0] = cls[s];
-      for (std::uint64_t a = 0; a < ni; ++a) {
-        sig[a + 1] = cls[stg.next_state(s, a)];
-      }
-      const auto [it, inserted] =
-          ids.emplace(sig, static_cast<std::uint32_t>(ids.size()));
-      next_cls[s] = it->second;
-    }
-    bool changed = false;
-    for (std::uint64_t s = 0; s < n; ++s) {
-      if (next_cls[s] != cls[s]) {
-        changed = true;
-        break;
-      }
-    }
-    // Class counts can only grow; identical counts with a relabeling still
-    // mean a stable partition, so compare counts rather than raw labels.
-    if (!changed || ids.size() == num_classes(cls)) {
-      // Renumber densely in first-occurrence order for determinism.
-      std::unordered_map<std::uint32_t, std::uint32_t> renumber;
-      for (std::uint64_t s = 0; s < n; ++s) {
-        const auto [it, ins] = renumber.emplace(
-            next_cls[s], static_cast<std::uint32_t>(renumber.size()));
-        next_cls[s] = it->second;
-      }
-      return next_cls;
-    }
-    cls = std::move(next_cls);
-  }
+  return refine_partition(std::move(cls), stg.next_row(0), ni, budget);
 }
 
 std::uint32_t num_classes(const std::vector<std::uint32_t>& classes) {
@@ -93,21 +39,11 @@ std::uint32_t num_classes(const std::vector<std::uint32_t>& classes) {
 
 Stg quotient(const Stg& stg, const std::vector<std::uint32_t>& classes) {
   RTV_REQUIRE(classes.size() == stg.num_states(), "class vector size mismatch");
-  const std::uint32_t k = num_classes(classes);
   const std::uint64_t ni = stg.num_inputs();
-  std::vector<std::uint32_t> next(static_cast<std::size_t>(k) * ni, 0);
-  std::vector<std::uint64_t> out(next.size(), 0);
-  std::vector<bool> seen(k, false);
-  for (std::uint64_t s = 0; s < stg.num_states(); ++s) {
-    const std::uint32_t c = classes[s];
-    if (seen[c]) continue;  // any representative gives the same rows
-    seen[c] = true;
-    for (std::uint64_t a = 0; a < ni; ++a) {
-      next[c * ni + a] = classes[stg.next_state(s, a)];
-      out[c * ni + a] = stg.output(s, a);
-    }
-  }
-  return Stg(k, ni, stg.num_output_bits(), std::move(next), std::move(out));
+  return quotient_machine(classes, stg.next_row(0), ni, stg.num_output_bits(),
+                          [&](std::uint64_t s, std::uint64_t* out) {
+                            std::copy_n(stg.output_row(s), ni, out);
+                          });
 }
 
 }  // namespace rtv

@@ -12,7 +12,8 @@
 // (current C state, set of consistent current D states): a violation is
 // reachable iff some pair with an empty set is.
 
-#include <deque>
+#include <algorithm>
+#include <bit>
 #include <unordered_set>
 
 #include "stg/stg.hpp"
@@ -36,96 +37,86 @@ bool implies(const Stg& c, const Stg& d, ResourceBudget* budget) {
   return true;
 }
 
-namespace {
-
-/// A (C state, D state set) pair in the subset construction.
-struct PairKey {
-  std::uint32_t c_state;
-  std::vector<std::uint64_t> d_set;  // bitset over D states
-
-  bool operator==(const PairKey& other) const = default;
-};
-
-struct PairKeyHash {
-  std::size_t operator()(const PairKey& k) const {
-    std::uint64_t h = 1469598103934665603ULL ^ k.c_state;
-    for (const std::uint64_t w : k.d_set) {
-      h ^= w;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-bool set_empty(const std::vector<std::uint64_t>& set) {
-  for (const std::uint64_t w : set) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 bool find_safe_replacement_violation(const Stg& c, const Stg& d,
                                      SafeReplacementViolation* witness,
                                      ResourceBudget* budget) {
   RTV_REQUIRE(c.compatible_with(d), "safe_replacement on incompatible machines");
   const std::uint64_t nd = d.num_states();
   const std::size_t set_words = words_for_bits(nd);
+  const std::size_t stride = 1 + set_words;  // C state, then the D-set bits
+  constexpr std::uint32_t kStart = 0xffffffffu;
 
-  std::vector<std::uint64_t> full(set_words, 0);
-  for (std::uint64_t s = 0; s < nd; ++s) {
-    full[s / 64] |= (1ULL << (s % 64));
-  }
-
-  struct QueueEntry {
-    PairKey key;
-    std::uint32_t c_start;
-    std::vector<std::uint64_t> inputs;  // path from the start (for witness)
+  // Pair i is arena[i * stride, (i + 1) * stride). Pairs are numbered in
+  // discovery order, which is BFS order, so the arena is also the queue;
+  // parent/via link each pair to the pair and input it was reached by.
+  std::vector<std::uint64_t> arena;
+  std::vector<std::uint32_t> parent;
+  std::vector<std::uint64_t> via;
+  const auto hash = [&](std::uint32_t i) {
+    return hash_words(arena.data() + i * stride, stride);
   };
-  std::unordered_set<PairKey, PairKeyHash> visited;
-  std::deque<QueueEntry> queue;
-  const bool want_witness = witness != nullptr;
+  const auto equal = [&](std::uint32_t x, std::uint32_t y) {
+    return std::equal(arena.begin() + x * stride, arena.begin() + (x + 1) * stride,
+                      arena.begin() + y * stride);
+  };
+  std::unordered_set<std::uint32_t, decltype(hash), decltype(equal)> visited(
+      0, hash, equal);
+  // Keeps the candidate pair at the arena's tail if it is new.
+  const auto intern = [&](std::uint32_t from, std::uint64_t a) {
+    if (visited.insert(static_cast<std::uint32_t>(parent.size())).second) {
+      parent.push_back(from);
+      via.push_back(a);
+    } else {
+      arena.resize(arena.size() - stride);
+    }
+  };
 
   for (std::uint64_t s1 = 0; s1 < c.num_states(); ++s1) {
-    PairKey key{static_cast<std::uint32_t>(s1), full};
-    if (visited.insert(key).second) {
-      queue.push_back({std::move(key), static_cast<std::uint32_t>(s1), {}});
+    arena.push_back(s1);
+    for (std::size_t w = 0; w < set_words; ++w) {
+      arena.push_back(low_mask(static_cast<unsigned>(std::min<std::uint64_t>(
+          nd - 64 * w, 64))));
     }
+    intern(kStart, 0);
   }
 
-  while (!queue.empty()) {
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t i = 0; i < parent.size(); ++i) {
     if (budget != nullptr) budget->checkpoint_or_throw("stg/subset-pair");
-    QueueEntry entry = std::move(queue.front());
-    queue.pop_front();
-    for (std::uint64_t a = 0; a < c.num_inputs(); ++a) {
-      const std::uint64_t c_out = c.output(entry.key.c_state, a);
-      std::vector<std::uint64_t> next_set(set_words, 0);
-      for (std::uint64_t s0 = 0; s0 < nd; ++s0) {
-        if (!get_bit(entry.key.d_set[s0 / 64], s0 % 64)) continue;
-        if (d.output(s0, a) != c_out) continue;
-        const std::uint32_t t = d.next_state(s0, a);
-        next_set[t / 64] |= (1ULL << (t % 64));
+    const std::uint64_t* pair = arena.data() + i * stride;
+    const std::uint64_t* c_out = c.output_row(pair[0]);
+    const std::uint32_t* c_next = c.next_row(pair[0]);
+    members.clear();
+    for (std::size_t w = 0; w < set_words; ++w) {
+      for (std::uint64_t bits = pair[1 + w]; bits != 0; bits &= bits - 1) {
+        members.push_back(static_cast<std::uint32_t>(
+            64 * w + static_cast<unsigned>(std::countr_zero(bits))));
       }
-      if (set_empty(next_set)) {
-        if (want_witness) {
-          witness->c_start = entry.c_start;
-          witness->inputs = entry.inputs;
-          witness->inputs.push_back(a);
+    }
+    for (std::uint64_t a = 0; a < c.num_inputs(); ++a) {
+      const std::size_t tail = arena.size();
+      arena.resize(tail + stride, 0);
+      arena[tail] = c_next[a];
+      bool empty = true;
+      for (const std::uint32_t s0 : members) {
+        if (d.output_row(s0)[a] != c_out[a]) continue;
+        const std::uint32_t t = d.next_row(s0)[a];
+        arena[tail + 1 + t / 64] |= 1ULL << (t % 64);
+        empty = false;
+      }
+      if (empty) {
+        if (witness != nullptr) {
+          witness->inputs = {a};
+          std::uint32_t p = i;
+          for (; parent[p] != kStart; p = parent[p]) {
+            witness->inputs.push_back(via[p]);
+          }
+          std::reverse(witness->inputs.begin(), witness->inputs.end());
+          witness->c_start = static_cast<std::uint32_t>(arena[p * stride]);
         }
         return true;
       }
-      PairKey next_key{c.next_state(entry.key.c_state, a), std::move(next_set)};
-      if (visited.insert(next_key).second) {
-        QueueEntry next_entry;
-        next_entry.c_start = entry.c_start;
-        if (want_witness) {
-          next_entry.inputs = entry.inputs;
-          next_entry.inputs.push_back(a);
-        }
-        next_entry.key = std::move(next_key);
-        queue.push_back(std::move(next_entry));
-      }
+      intern(i, a);
     }
   }
   return false;

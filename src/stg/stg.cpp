@@ -1,8 +1,12 @@
 #include "stg/stg.hpp"
 
+#include <algorithm>
+#include <array>
 #include <sstream>
+#include <unordered_map>
 
-#include "sim/binary_sim.hpp"
+#include "sim/packed_sim.hpp"
+#include "stg/refine.hpp"
 #include "util/bits.hpp"
 
 namespace rtv {
@@ -32,37 +36,199 @@ std::size_t Stg::index(std::uint64_t state, std::uint64_t input) const {
   return static_cast<std::size_t>(state * num_inputs_ + input);
 }
 
-Stg Stg::extract(const Netlist& netlist, std::uint64_t entry_cap,
-                 ResourceBudget* budget) {
-  const unsigned latches = static_cast<unsigned>(netlist.latches().size());
-  const unsigned pis = static_cast<unsigned>(netlist.primary_inputs().size());
+namespace {
+
+/// Lane l of sweep word w carries entry 64w + l; bit b < 6 of that entry
+/// index is bit b of l, the same pattern in every word.
+constexpr std::uint64_t kLaneBit[6] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+
+/// Byte-spread table: kSpread[b][h] holds bit k of byte b in the low bit of
+/// 16-bit lane k - 4h.
+constexpr auto kSpread = [] {
+  std::array<std::array<std::uint64_t, 2>, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    for (unsigned k = 0; k < 8; ++k) {
+      if (((b >> k) & 1) != 0) t[b][k / 4] |= 1ULL << (16 * (k % 4));
+    }
+  }
+  return t;
+}();
+
+/// Transposes `count` <= 16 bit-planes (plane i holds bit i of 64 lanes)
+/// into one 16-bit value per lane.
+void transpose16(const std::uint64_t* planes, unsigned count,
+                 std::uint16_t out[64]) {
+  for (unsigned c = 0; c < 8; ++c) {  // lanes 8c .. 8c+7
+    std::uint64_t lo = 0, hi = 0;
+    for (unsigned i = 0; i < count; ++i) {
+      const auto& spread = kSpread[(planes[i] >> (8 * c)) & 0xff];
+      lo |= spread[0] << i;
+      hi |= spread[1] << i;
+    }
+    for (unsigned k = 0; k < 4; ++k) {
+      out[8 * c + k] = static_cast<std::uint16_t>(lo >> (16 * k));
+      out[8 * c + 4 + k] = static_cast<std::uint16_t>(hi >> (16 * k));
+    }
+  }
+}
+
+/// transpose16 for up to 64 planes: one 64-bit value per lane.
+void transpose(const std::uint64_t* planes, unsigned count,
+               std::uint64_t out[64]) {
+  std::fill(out, out + 64, 0);
+  std::uint16_t part[64];
+  for (unsigned g = 0; g < count; g += 16) {
+    transpose16(planes + g, std::min(16u, count - g), part);
+    for (unsigned l = 0; l < 64; ++l) out[l] |= std::uint64_t{part[l]} << g;
+  }
+}
+
+struct SweepShape {
+  unsigned latches, pis, outputs;
+  std::uint64_t states, inputs;
+  unsigned lanes;  ///< entries per word: 64, fewer only for a tiny machine
+};
+
+SweepShape sweep_shape(const Netlist& netlist, std::uint64_t entry_cap) {
+  const auto latches = static_cast<unsigned>(netlist.latches().size());
+  const auto pis = static_cast<unsigned>(netlist.primary_inputs().size());
+  const auto outputs = static_cast<unsigned>(netlist.primary_outputs().size());
   RTV_REQUIRE(latches <= 32, "STG extraction supports at most 32 latches");
   RTV_REQUIRE(pis <= 20, "STG extraction supports at most 20 inputs");
-  const std::uint64_t num_states = pow2(latches);
-  const std::uint64_t num_inputs = pow2(pis);
-  if (num_states * num_inputs > entry_cap) {
+  RTV_REQUIRE(outputs <= 64, "STG extraction supports at most 64 outputs");
+  const std::uint64_t entries = pow2(latches + pis);
+  if (entries > entry_cap) {
     throw CapacityError("STG extraction: 2^(latches+inputs) exceeds cap (" +
-                        std::to_string(num_states * num_inputs) +
-                        " entries, cap " + std::to_string(entry_cap) + ")");
+                        std::to_string(entries) + " entries, cap " +
+                        std::to_string(entry_cap) + ")");
   }
-  BinarySimulator sim(netlist);
+  return {latches, pis, outputs, pow2(latches), pow2(pis),
+          static_cast<unsigned>(std::min<std::uint64_t>(entries, 64))};
+}
+
+/// Simulates every entry e = state * inputs + input, 64 per word, and
+/// calls on_word(w, next_planes, out_planes) in word order with word w's
+/// latched next-state plane per latch and plane per output. Lanes past the
+/// last entry of a machine with fewer than 64 entries are don't-cares.
+template <typename OnWord>
+void packed_sweep(const Netlist& netlist, const SweepShape& shape,
+                  ResourceBudget* budget, OnWord on_word) {
+  if (budget != nullptr) budget->checkpoint_or_throw("stg/extract");
+  const std::uint64_t words = words_for_bits(shape.states * shape.inputs);
+  // Words per step: enough to amortize the per-cell dispatch, few enough
+  // to keep the value planes in cache.
+  const auto chunk = static_cast<unsigned>(std::min<std::uint64_t>(words, 64));
+  PackedTernarySimulator sim(netlist, chunk * 64);
+  PackedTrits in(shape.pis, chunk * 64);
+  const unsigned width = shape.latches + shape.outputs;
+  std::vector<std::uint64_t> planes(std::size_t{width} * chunk);  // [j][plane]
+  std::uint64_t unknown = 0;
+  for (std::uint64_t first = 0; first < words; first += chunk) {
+    if (budget != nullptr) budget->checkpoint_or_throw("stg/extract-chunk");
+    // Entry bit b is input bit b below shape.pis, latch bit b - pis above.
+    for (unsigned b = 0; b < shape.pis + shape.latches; ++b) {
+      TritWord* dst = b < shape.pis ? in.signal_words(b)
+                                    : sim.state_words(b - shape.pis);
+      for (unsigned j = 0; j < chunk; ++j) {
+        dst[j] = TritWord{b < 6 ? kLaneBit[b]
+                          : get_bit(first + j, b - 6) ? ~0ULL : 0, 0};
+      }
+    }
+    sim.step_packed(in);
+    for (unsigned p = 0; p < width; ++p) {
+      const TritWord* src = p < shape.latches
+                                ? sim.state_words(p)
+                                : sim.output_words(p - shape.latches);
+      for (unsigned j = 0; j < chunk; ++j) {
+        planes[std::size_t{j} * width + p] = src[j].ones;
+        unknown |= src[j].unk;
+      }
+    }
+    for (unsigned j = 0; j < chunk; ++j) {
+      const std::uint64_t* word = planes.data() + std::size_t{j} * width;
+      on_word(first + j, word, word + shape.latches);
+    }
+  }
+  RTV_CHECK_MSG(unknown == 0, "a definite state and input produced an X");
+}
+
+}  // namespace
+
+Stg Stg::extract(const Netlist& netlist, std::uint64_t entry_cap,
+                 ResourceBudget* budget) {
+  const SweepShape shape = sweep_shape(netlist, entry_cap);
   // Reserved, not zero-filled: a cut-off extraction touches what it filled.
   std::vector<std::uint32_t> next;
   std::vector<std::uint64_t> out;
-  next.reserve(num_states * num_inputs);
-  out.reserve(num_states * num_inputs);
-  for (std::uint64_t s = 0; s < num_states; ++s) {
-    if (budget != nullptr) budget->checkpoint_or_throw("stg/extract-state");
-    for (std::uint64_t a = 0; a < num_inputs; ++a) {
-      std::uint64_t o = 0, ns = 0;
-      sim.eval_packed(s, a, o, ns);
-      next.push_back(static_cast<std::uint32_t>(ns));
-      out.push_back(o);
-    }
+  next.reserve(shape.states * shape.inputs);
+  out.reserve(shape.states * shape.inputs);
+  packed_sweep(netlist, shape, budget,
+               [&](std::uint64_t, const std::uint64_t* next_planes,
+                   const std::uint64_t* out_planes) {
+                 std::uint64_t ns[64], o[64];
+                 transpose(next_planes, shape.latches, ns);
+                 transpose(out_planes, shape.outputs, o);
+                 for (unsigned l = 0; l < shape.lanes; ++l) {
+                   next.push_back(static_cast<std::uint32_t>(ns[l]));
+                   out.push_back(o[l]);
+                 }
+               });
+  return Stg(shape.states, shape.inputs, shape.outputs, std::move(next),
+             std::move(out));
+}
+
+Stg Stg::extract_minimized(const Netlist& netlist, std::uint64_t entry_cap,
+                           ResourceBudget* budget) {
+  const SweepShape shape = sweep_shape(netlist, entry_cap);
+  if (shape.latches > 16) {
+    throw CapacityError("minimized STG extraction: " +
+                        std::to_string(shape.latches) + " latches exceed 16");
   }
-  return Stg(num_states, num_inputs,
-             static_cast<unsigned>(netlist.primary_outputs().size()),
-             std::move(next), std::move(out));
+  const std::uint64_t ni = shape.inputs;
+  // A state's output row, keyed as it leaves the sweep: per 64-input word
+  // of the row, one plane per output, cut to the row's own ni bits where
+  // several states share a word.
+  const std::uint64_t row_words = std::max<std::uint64_t>(ni / 64, 1);
+  const std::uint64_t per_word = std::max<std::uint64_t>(64 / ni, 1);
+  const std::uint64_t row_mask = low_mask(static_cast<unsigned>(64 / per_word));
+  std::vector<std::uint16_t> next;
+  next.reserve(shape.states * ni);
+  std::vector<std::uint32_t> initial(shape.states);
+  std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, WordsHash> ids;
+  std::vector<const std::vector<std::uint64_t>*> rows;  // per initial class
+  std::vector<std::uint64_t> key(row_words * shape.outputs);
+  packed_sweep(
+      netlist, shape, budget,
+      [&](std::uint64_t w, const std::uint64_t* next_planes,
+          const std::uint64_t* out_planes) {
+        std::uint16_t t[64];
+        transpose16(next_planes, shape.latches, t);
+        next.insert(next.end(), t, t + shape.lanes);
+        const std::uint64_t j = w % row_words;
+        for (std::uint64_t k = 0, s = w / row_words * per_word;
+             k < per_word && s < shape.states; ++k, ++s) {
+          for (unsigned o = 0; o < shape.outputs; ++o) {
+            key[j * shape.outputs + o] = (out_planes[o] >> (k * ni)) & row_mask;
+          }
+          if (j + 1 < row_words) continue;
+          const auto [it, inserted] =
+              ids.try_emplace(key, static_cast<std::uint32_t>(rows.size()));
+          if (inserted) rows.push_back(&it->first);
+          initial[s] = it->second;
+        }
+      });
+  return quotient_machine(
+      refine_partition(initial, next.data(), ni, budget), next.data(), ni,
+      shape.outputs, [&](std::uint64_t s, std::uint64_t* out) {
+        const std::vector<std::uint64_t>& row = *rows[initial[s]];
+        for (std::uint64_t j = 0; j < row_words; ++j) {
+          std::uint64_t o[64];
+          transpose(row.data() + j * shape.outputs, shape.outputs, o);
+          std::copy_n(o, std::min<std::uint64_t>(ni, 64), out + j * 64);
+        }
+      });
 }
 
 std::vector<std::uint64_t> Stg::run(

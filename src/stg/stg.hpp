@@ -31,6 +31,7 @@ class Stg {
 
   /// Exhaustive extraction: state ids are packed latch vectors (so state s
   /// corresponds to unpack_bits(s, L)), input symbols are packed PI vectors.
+  /// One packed sweep simulates 64 (state, input) entries per word.
   ///
   /// Extraction cannot produce a partial machine, so with a budget attached
   /// it throws ResourceExhausted when the budget blows mid-extraction —
@@ -39,6 +40,14 @@ class Stg {
   static Stg extract(const Netlist& netlist,
                      std::uint64_t entry_cap = kDefaultStgEntryCap,
                      ResourceBudget* budget = nullptr);
+
+  /// The Mealy quotient of extract(netlist), streamed from the same sweep
+  /// without building the raw machine: isomorphic to
+  /// quotient(extract(n), equivalence_classes(extract(n))). Throws
+  /// CapacityError above 2^16 states, ResourceExhausted like extract.
+  static Stg extract_minimized(const Netlist& netlist,
+                               std::uint64_t entry_cap = kDefaultStgEntryCap,
+                               ResourceBudget* budget = nullptr);
 
   std::uint64_t num_states() const { return num_states_; }
   std::uint64_t num_inputs() const { return num_inputs_; }
@@ -49,6 +58,15 @@ class Stg {
   }
   std::uint64_t output(std::uint64_t state, std::uint64_t input) const {
     return out_[index(state, input)];
+  }
+
+  /// Unchecked rows: num_inputs() entries of `state` (state < num_states()),
+  /// rows of consecutive states adjacent.
+  const std::uint32_t* next_row(std::uint64_t state) const {
+    return next_.data() + state * num_inputs_;
+  }
+  const std::uint64_t* output_row(std::uint64_t state) const {
+    return out_.data() + state * num_inputs_;
   }
 
   /// Runs the machine from `state` on a packed input sequence; returns the

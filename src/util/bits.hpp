@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -58,5 +59,22 @@ inline std::uint64_t low_mask(unsigned n) {
   RTV_REQUIRE(n <= 64, "low_mask width must be <= 64");
   return n == 64 ? ~0ULL : (1ULL << n) - 1;
 }
+
+/// FNV-1a over `n` 64-bit words.
+inline std::size_t hash_words(const std::uint64_t* words, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= words[i];
+    h *= 1099511628211ULL;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+/// Hash functor for word vectors used as unordered-container keys.
+struct WordsHash {
+  std::size_t operator()(const std::vector<std::uint64_t>& v) const {
+    return hash_words(v.data(), v.size());
+  }
+};
 
 }  // namespace rtv
