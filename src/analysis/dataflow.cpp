@@ -362,21 +362,4 @@ MoveCertificate certify_move(const Netlist& before, const RetimingMove& move,
           "no static argument applies; an engine backend must decide"};
 }
 
-std::vector<MoveCertificate> certify_plan_moves(
-    const Netlist& netlist, const std::vector<RetimingMove>& moves,
-    const DataflowOptions& options) {
-  std::vector<MoveCertificate> certificates(
-      moves.size(), {false, CertificateArgument::kNone,
-                     "not reached: a move of the plan could not be applied"});
-  const std::vector<bool> observable = observable_mask(netlist);
-  Netlist scratch = netlist;
-  for (std::size_t i = 0; i < moves.size() && can_apply(scratch, moves[i]);
-       ++i) {
-    certificates[i] =
-        certify_move(scratch, moves[i], observable, true, options);
-    apply_move(scratch, moves[i]);
-  }
-  return certificates;
-}
-
 }  // namespace rtv

@@ -156,12 +156,6 @@ MoveCertificate certify_move(const Netlist& before, const RetimingMove& move,
                              bool try_fixpoint = true,
                              const DataflowOptions& options = {});
 
-/// certify_move for each move of a plan, replayed on a scratch copy. From
-/// the first move that cannot be applied there on, none is certified.
-std::vector<MoveCertificate> certify_plan_moves(
-    const Netlist& netlist, const std::vector<RetimingMove>& moves,
-    const DataflowOptions& options = {});
-
 /// Whole-design static CLS-equivalence proof: when every paired primary
 /// output of `a` and `b` has the same singleton fixpoint set, both outputs
 /// are that same value on every cycle of every run, so the designs are

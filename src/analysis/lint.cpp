@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-
 namespace rtv {
 
 namespace {
@@ -13,7 +12,7 @@ LintResult run_passes(const Netlist& netlist,
   LintResult result;
   LintContext ctx{netlist, options};
   if (plan != nullptr) {
-    result.plan = analyze_plan(netlist, *plan);
+    result.plan = analyze_plan(netlist, *plan, options.semantic);
     ctx.plan = plan;
     ctx.plan_analysis = &*result.plan;
   }
@@ -76,7 +75,7 @@ std::string render_text(const LintResult& result) {
     } else {
       os << "; " << (p.feasible ? "feasible" : "NOT feasible")
          << ", k = " << p.k() << "\n";
-      if (p.feasible) os << "certificate: " << p.certificate() << "\n";
+      if (p.feasible) os << "certificate: " << p.stats.certificate() << "\n";
     }
   }
   return os.str();

@@ -5,148 +5,79 @@
 #include <sstream>
 
 #include "io/json.hpp"
-#include "retime/graph.hpp"
 #include "retime/sequencer.hpp"
 
 namespace rtv {
 
 namespace {
 
-/// Static mirror of can_apply's junction-normal requirement on the element
-/// itself: every output port drives exactly one pin. Sink *identities*
-/// change as latches move, but counts are invariant (insert_on_wire and
-/// bypass_and_remove both preserve them), so checking the original netlist
-/// is exact at every plan position.
-bool element_ports_single_sink(const Netlist& netlist, NodeId element,
-                               std::string* detail) {
-  for (std::uint32_t p = 0; p < netlist.num_ports(element); ++p) {
-    const std::size_t sinks = netlist.sinks(PortRef(element, p)).size();
-    if (sinks != 1) {
-      *detail = "output port " + std::to_string(p) + " drives " +
-                std::to_string(sinks) + " pins (need exactly 1)";
-      return false;
+/// Why `netlist` fails the replay preconditions, or "" when it passes: the
+/// plan's positions are only meaningful on a structurally sound
+/// junction-normal netlist.
+std::string replay_precondition_error(const Netlist& netlist) {
+  if (const auto violations = netlist.structural_violations();
+      !violations.empty()) {
+    return "netlist fails structural lint (" +
+           std::to_string(violations.size()) +
+           " violation(s), first: " + violations.front().message + ")";
+  }
+  if (!netlist.is_junction_normal()) {
+    return "netlist is not junction-normal (run junctionize() first)";
+  }
+  // A sink-less latch lies on no wire chain into a pin (no retiming-graph
+  // edge), so no plan position can account for it.
+  for (const NodeId latch : netlist.latches()) {
+    if (netlist.sinks(PortRef(latch, 0)).empty()) {
+      return "latch '" + netlist.name(latch) +
+             "' drives nothing; its wire chain cannot be replayed";
     }
   }
-  return true;
+  return {};
 }
 
 }  // namespace
 
-std::string PlanAnalysis::certificate() const {
-  if (stats.preserves_safe_replacement()) {
-    return "safe replacement (C ⊑ D, Cor 4.4)";
-  }
-  return "C^" + std::to_string(k()) + " ⊑ D (Thm 4.5)";
-}
-
 PlanAnalysis analyze_plan(const Netlist& netlist,
-                          const std::vector<RetimingMove>& moves) {
+                          const std::vector<RetimingMove>& moves,
+                          bool certify_unsafe) {
   PlanAnalysis analysis;
-  analysis.moves.reserve(moves.size());
+  analysis.precondition_error = replay_precondition_error(netlist);
+  analysis.analyzable = analysis.precondition_error.empty();
 
-  // Element well-formedness and classification are independent of the
-  // replay, so they are always computed — even when the netlist fails the
-  // replay preconditions below.
-  std::vector<std::uint32_t> forward_counts(netlist.num_slots(), 0);
-  for (const RetimingMove& move : moves) {
-    PlanMoveCheck check;
-    check.move = move;
-    const NodeId e = move.element;
-    if (!e.valid() || e.value >= netlist.num_slots() || netlist.is_dead(e)) {
-      check.detail = "element is not a live netlist node";
-    } else if (!is_combinational(netlist.kind(e))) {
-      check.detail = std::string("element is a ") +
-                     cell_kind_name(netlist.kind(e)) +
-                     ", not a combinational cell";
-    } else {
-      check.element_ok = true;
-      check.cls = classify_move(netlist, move);
-      accumulate_move(move, check.cls, forward_counts, analysis.stats);
-    }
-    analysis.moves.push_back(std::move(check));
-  }
-
-  // Replay preconditions: the weight model is exact only for a structurally
-  // sound junction-normal netlist (see the header comment).
-  if (const auto violations = netlist.structural_violations();
-      !violations.empty()) {
-    analysis.precondition_error =
-        "netlist fails structural lint (" +
-        std::to_string(violations.size()) +
-        " violation(s), first: " + violations.front().message + ")";
-    return analysis;
-  }
-  if (!netlist.is_junction_normal()) {
-    analysis.precondition_error =
-        "netlist is not junction-normal (run junctionize() first)";
-    return analysis;
-  }
-  // A sink-less latch sits on no retiming-graph edge, so its wire could not
-  // be replayed; require every latch chain to reach a pin.
-  for (const NodeId latch : netlist.latches()) {
-    if (netlist.sinks(PortRef(latch, 0)).empty()) {
-      analysis.precondition_error = "latch '" + netlist.name(latch) +
-                                    "' drives nothing; its wire chain cannot "
-                                    "be replayed";
-      return analysis;
-    }
-  }
-  analysis.analyzable = true;
-
-  // Latch-count replay on the retiming graph. Weight deltas are applied
-  // only for enabled moves; a disabled move is reported and skipped so the
-  // rest of the plan still gets checked against a consistent state.
-  const RetimeGraph graph =
-      RetimeGraph::from_netlist(netlist, DelayModel::kZero);
-  std::vector<int> weight;
-  weight.reserve(graph.num_edges());
-  for (const RetimeGraph::Edge& e : graph.edges()) weight.push_back(e.weight);
-
-  bool all_enabled = true;
-  for (PlanMoveCheck& check : analysis.moves) {
-    if (!check.element_ok) {
-      all_enabled = false;
-      continue;
-    }
-    const NodeId e = check.move.element;
-    if (!element_ports_single_sink(netlist, e, &check.detail)) {
-      all_enabled = false;
-      continue;
-    }
-    const std::uint32_t v = graph.vertex_of(e);
-    const std::vector<std::uint32_t>& sources = graph.in_edges(v);
-    const std::vector<std::uint32_t>& sinks = graph.out_edges(v);
-    const bool forward = check.move.direction == MoveDirection::kForward;
-    if (!forward && netlist.num_ports(e) == 0) {
-      check.detail = "element has no output ports to pull a latch across";
-      all_enabled = false;
-      continue;
-    }
-    const std::vector<std::uint32_t>& need = forward ? sources : sinks;
-    bool enabled = true;
-    for (const std::uint32_t i : need) {
-      if (weight[i] < 1) {
-        check.detail = std::string(forward ? "input pin" : "output port") +
-                       " wire " +
-                       (forward ? std::to_string(graph.edge(i).dst_pin.pin)
-                                : std::to_string(graph.edge(i).src_port.port)) +
-                       " carries no latch at this plan position";
-        enabled = false;
-        break;
+  Netlist work = netlist;
+  PlanMoveCheck* current = nullptr;  // the check of the move being stepped
+  MoveVisitor certifier;
+  if (certify_unsafe && analysis.analyzable) {
+    certifier = [&current, observable = observable_mask(netlist)](
+                    const Netlist& before, const RetimingMove& move) {
+      if (!classify_move(before, move).preserves_safe_replacement()) {
+        current->certificate = certify_move(before, move, observable);
       }
-    }
-    if (!enabled) {
-      all_enabled = false;
-      continue;
-    }
-    check.enabled = true;
-    // A self-loop edge appears on both sides; the net effect is zero, which
-    // matches apply_move removing one latch at the pin and minting one at
-    // the port of the same wire.
-    for (const std::uint32_t i : (forward ? sources : sinks)) --weight[i];
-    for (const std::uint32_t i : (forward ? sinks : sources)) ++weight[i];
+    };
   }
-  analysis.feasible = all_enabled;
+  MoveReplay replay(work, std::move(certifier));
+
+  analysis.moves.reserve(moves.size());
+  analysis.feasible = analysis.analyzable;
+  for (const RetimingMove& move : moves) {
+    PlanMoveCheck& check = analysis.moves.emplace_back();
+    check.move = move;
+    current = &check;
+    // The element is judged on the input netlist, where the plan names it;
+    // off the preconditions nothing else is judged and nothing is applied.
+    check.reason = move_reason(netlist, move);
+    if (analysis.analyzable && check.reason.element_ok()) {
+      check.reason = replay.step(move, &check.cls);
+    }
+    check.element_ok = check.reason.element_ok();
+    check.enabled = analysis.analyzable && check.reason.enabled();
+    if (check.element_ok && !check.enabled) {
+      check.cls = classify_move(netlist, move);
+      replay.count(move, check.cls);
+    }
+    analysis.feasible &= check.enabled;
+  }
+  analysis.stats = replay.stats();
   return analysis;
 }
 

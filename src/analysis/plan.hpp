@@ -2,14 +2,15 @@
 // Static analysis of a retiming-move plan (paper Section 4), without
 // touching the design.
 //
-// A plan is an ordered list of atomic RetimingMoves. Instead of applying
-// the moves with apply_move, the analyzer replays their latch-count deltas
-// on the Leiserson–Saxe retiming graph: in junction-normal form every wire
-// chain is a pure latch run, so "a latch sits directly on this pin/port" is
-// exactly "the corresponding graph edge has weight >= 1", and a move is a
-// unit weight transfer between a vertex's in- and out-edges. That makes
-// static enabledness equivalent to can_apply at every position, while the
-// input netlist stays byte-identical.
+// A plan is an ordered list of atomic RetimingMoves. The analyzer steps
+// through it with the same MoveReplay the sequencer uses
+// (retime/sequencer.hpp), on a working copy, so the input netlist stays
+// byte-identical. A move that is not enabled at its plan position is
+// reported with its reason code and skipped, so the rest of the plan is
+// still checked against a consistent state. (Replaying the moves as
+// latch-count deltas on the Leiserson–Saxe retiming graph gives the same
+// enabledness and census move by move; tests/test_move_replay.cpp keeps
+// that replay as the oracle.)
 //
 // Classification is position-independent (justifiability never changes as
 // latches move), so the analyzer derives the full Section-4 census and the
@@ -18,21 +19,25 @@
 // prefix (Thm 4.6).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/dataflow.hpp"
 #include "netlist/netlist.hpp"
 #include "retime/moves.hpp"
 
 namespace rtv {
 
-/// Per-move result of the static replay.
+/// Per-move result of the replay.
 struct PlanMoveCheck {
   RetimingMove move;
   MoveClass cls;            ///< meaningful only when element_ok
   bool element_ok = false;  ///< element is a live combinational node
-  bool enabled = false;     ///< statically enabled at its plan position
-  std::string detail;       ///< why not, when !element_ok or !enabled
+  bool enabled = false;     ///< enabled at its plan position (and applied)
+  MoveReason reason;        ///< why not, when !element_ok or !enabled
+  /// Thm 5.1's certificate of an enabled unsafe-class move, when asked for.
+  std::optional<MoveCertificate> certificate;
 };
 
 /// Result of analyze_plan. `stats` counts every well-formed move (enabled
@@ -46,19 +51,20 @@ struct PlanAnalysis {
   std::vector<PlanMoveCheck> moves;
   MoveSequenceStats stats;
 
-  /// Every move well-formed and statically enabled in plan order.
+  /// Every move well-formed and enabled in plan order.
   bool feasible = false;
 
   /// The Theorem 4.5 bound: C^k ⊑ D after this plan.
   std::size_t k() const { return stats.max_forward_per_non_justifiable; }
-
-  /// "safe replacement (C ⊑ D, Cor 4.4)" or "C^k ⊑ D (Thm 4.5)".
-  std::string certificate() const;
 };
 
-/// Statically analyzes `moves` against `netlist` (never mutated).
+/// Analyzes `moves` against `netlist` (never mutated). With
+/// `certify_unsafe`, every enabled move that breaks safe replacement in the
+/// Section-4 taxonomy is certified at its own position (certify_move, all
+/// three arguments).
 PlanAnalysis analyze_plan(const Netlist& netlist,
-                          const std::vector<RetimingMove>& moves);
+                          const std::vector<RetimingMove>& moves,
+                          bool certify_unsafe = false);
 
 // ---- JSON plan files -------------------------------------------------------
 //

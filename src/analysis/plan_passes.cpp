@@ -8,6 +8,35 @@ namespace rtv {
 
 namespace {
 
+/// The detail of an RTV203/RTV202 finding, from the move's reason code.
+std::string describe(const Netlist& netlist, const PlanMoveCheck& check) {
+  const NodeId e = check.move.element;
+  const std::string index = std::to_string(check.reason.index);
+  switch (check.reason.code) {
+    case MoveReason::kDeadElement:
+      return "element is not a live netlist node";
+    case MoveReason::kNotCombinational:
+      return std::string("element is a ") + cell_kind_name(netlist.kind(e)) +
+             ", not a combinational cell";
+    case MoveReason::kPortFanout:
+      // Sink counts never change as latches move, so the input netlist
+      // gives the count at every plan position.
+      return "output port " + index + " drives " +
+             std::to_string(
+                 netlist.sinks(PortRef(e, check.reason.index)).size()) +
+             " pins (need exactly 1)";
+    case MoveReason::kNoLatchOnPin:
+      return "input pin wire " + index + " carries no latch at this plan "
+             "position";
+    case MoveReason::kNoLatchOnPort:
+      return "output port wire " + index + " carries no latch at this plan "
+             "position";
+    case MoveReason::kEnabled:
+      break;
+  }
+  return {};
+}
+
 /// RTV206/RTV203/RTV202: the plan must be replayable — netlist analyzable,
 /// every element a live combinational cell, every move enabled at its plan
 /// position.
@@ -21,11 +50,11 @@ void plan_feasibility_pass(const LintContext& ctx, DiagnosticReport& report) {
   for (const PlanMoveCheck& check : analysis.moves) {
     if (!check.element_ok) {
       report.add(DiagCode::kBadPlanElement, ctx.netlist, check.move.element,
-                 check.detail, index);
+                 describe(ctx.netlist, check), index);
     } else if (analysis.analyzable && !check.enabled) {
       report.add(DiagCode::kMoveNotEnabled, ctx.netlist, check.move.element,
                  std::string(to_string(check.move.direction)) +
-                     " move is not enabled: " + check.detail,
+                     " move is not enabled: " + describe(ctx.netlist, check),
                  index);
     }
     ++index;
@@ -51,7 +80,7 @@ void plan_safety_pass(const LintContext& ctx, DiagnosticReport& report) {
   if (analysis.feasible && analysis.k() > 0) {
     report.add(DiagCode::kSettleCertificate, ctx.netlist, NodeId(),
                "retimed design needs a " + std::to_string(analysis.k()) +
-                   "-cycle settling prefix: " + analysis.certificate());
+                   "-cycle settling prefix: " + analysis.stats.certificate());
   }
   if (ctx.options.max_k.has_value() && analysis.k() > *ctx.options.max_k) {
     report.add(DiagCode::kDelayBoundExceeded, ctx.netlist, NodeId(),

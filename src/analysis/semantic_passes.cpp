@@ -139,28 +139,20 @@ void static_constant_pass(const LintContext& ctx, DiagnosticReport& report) {
 /// RTV305: static safety certificates for the moves RTV201 warned about. A
 /// forward move across a non-justifiable element breaks safe replacement
 /// in general (Prop 4.2), but three static arguments can still prove the
-/// concrete move harmless (see certify_plan_moves); each certified move
-/// gets a note telling the user no engine run is needed. Moves that
-/// already preserve safe replacement need no certificate, so a clean plan
-/// stays clean.
+/// concrete move harmless (see certify_move); each certified move gets a
+/// note telling the user no engine run is needed. The certificates come
+/// from the plan replay itself: with the semantic stage on, run_lint asks
+/// analyze_plan to certify every unsafe-class move at its own position.
+/// Moves that already preserve safe replacement need no certificate, so a
+/// clean plan stays clean.
 void static_safety_pass(const LintContext& ctx, DiagnosticReport& report) {
-  if (!ctx.options.semantic) return;
   const PlanAnalysis& analysis = *ctx.plan_analysis;
   if (!analysis.feasible) return;
-  bool any_unsafe = false;
-  for (const PlanMoveCheck& check : analysis.moves) {
-    any_unsafe |= !check.cls.preserves_safe_replacement();
-  }
-  if (!any_unsafe) return;
-
-  const std::vector<MoveCertificate> certificates =
-      certify_plan_moves(ctx.netlist, *ctx.plan);
-  for (std::size_t i = 0; i < certificates.size(); ++i) {
-    if (!certificates[i].certified) continue;
-    if (analysis.moves[i].cls.preserves_safe_replacement()) continue;
-    report.add(DiagCode::kStaticallySafeMove, ctx.netlist,
-               analysis.moves[i].move.element,
-               "statically certified safe: " + certificates[i].reason +
+  for (std::size_t i = 0; i < analysis.moves.size(); ++i) {
+    const PlanMoveCheck& check = analysis.moves[i];
+    if (!check.certificate || !check.certificate->certified) continue;
+    report.add(DiagCode::kStaticallySafeMove, ctx.netlist, check.move.element,
+               "statically certified safe: " + check.certificate->reason +
                    "; no engine run needed",
                i);
   }

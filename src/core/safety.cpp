@@ -3,19 +3,11 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "analysis/plan.hpp"
-
 namespace rtv {
 
 std::string SafetyReport::summary() const {
   std::ostringstream os;
-  os << stats.summary() << " => ";
-  if (safe_replacement_guaranteed) {
-    os << "safe replacement (C ⊑ D, Cor 4.4)";
-  } else {
-    os << "delayed replacement C^" << delay_bound << " ⊑ D (Thm 4.5)";
-  }
-  if (statically_verified) os << " [statically verified]";
+  os << stats.summary() << " => " << stats.certificate();
   if (cls_certified_safe) {
     os << " [unsafe moves CLS-certified; " << certificate_census() << "]";
   }
@@ -36,24 +28,6 @@ std::string SafetyReport::certificate_census() const {
 }
 
 namespace {
-
-/// Replays `moves` statically against the *original* netlist and checks the
-/// census agrees with what applying them produced. A disagreement means
-/// either the sequencer or the static analyzer is wrong — an internal
-/// error, not a user mistake. Returns whether verification ran (the static
-/// analyzer declines netlists that fail its replay preconditions).
-bool cross_check_static(const Netlist& netlist,
-                        const std::vector<RetimingMove>& moves,
-                        const MoveSequenceStats& applied) {
-  const PlanAnalysis plan = analyze_plan(netlist, moves);
-  if (!plan.analyzable) return false;
-  RTV_CHECK_MSG(plan.feasible,
-                "static plan replay disagrees: a move applied by apply_move "
-                "was reported as not enabled");
-  RTV_CHECK_MSG(plan.stats == applied,
-                "static plan census disagrees with the applied sequence");
-  return true;
-}
 
 /// Above this moves × slots product, certificate argument 3 (whole-design
 /// fixpoints at every move) would dominate the analysis; moves then get
@@ -78,14 +52,12 @@ MoveVisitor certifier(const Netlist& netlist, std::size_t moves,
   };
 }
 
-SafetyReport make_report(const Netlist& netlist, const SequencedRetiming& seq,
+SafetyReport make_report(const SequencedRetiming& seq,
                          std::vector<MoveCertificate> certificates) {
   SafetyReport report;
   report.stats = seq.stats;
   report.safe_replacement_guaranteed = seq.stats.preserves_safe_replacement();
   report.delay_bound = seq.stats.max_forward_per_non_justifiable;
-  report.statically_verified =
-      cross_check_static(netlist, seq.moves, seq.stats);
   report.cls_certified_safe = seq.stats.forward_across_non_justifiable > 0;
   for (std::size_t i = 0; i < seq.classes.size(); ++i) {
     if (!seq.classes[i].preserves_safe_replacement() &&
@@ -111,7 +83,7 @@ SafetyReport analyze_lag_retiming(const Netlist& netlist,
   std::vector<MoveCertificate> certificates;
   SequencedRetiming seq = sequence_retiming(
       netlist, graph, lag, certifier(netlist, planned, certificates, census));
-  SafetyReport report = make_report(netlist, seq, std::move(certificates));
+  SafetyReport report = make_report(seq, std::move(certificates));
   if (sequenced != nullptr) *sequenced = std::move(seq);
   return report;
 }
@@ -121,15 +93,15 @@ SafetyReport analyze_move_sequence(const Netlist& netlist,
                                    Netlist* retimed) {
   SequencedRetiming seq{netlist, moves, {}, {}};
   std::vector<MoveCertificate> certificates;
-  const MoveVisitor certify = certifier(netlist, moves.size(), certificates);
-  std::vector<std::uint32_t> forward_counts(netlist.num_slots(), 0);
-  for (const RetimingMove& move : moves) {
-    RTV_REQUIRE(can_apply(seq.retimed, move), "retiming move is not enabled");
-    certify(seq.retimed, move);
-    seq.classes.push_back(apply_move(seq.retimed, move));
-    accumulate_move(move, seq.classes.back(), forward_counts, seq.stats);
+  MoveReplay replay(seq.retimed,
+                    certifier(netlist, moves.size(), certificates));
+  seq.classes.resize(moves.size());
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    RTV_REQUIRE(replay.step(moves[i], &seq.classes[i]).enabled(),
+                "retiming move is not enabled");
   }
-  SafetyReport report = make_report(netlist, seq, std::move(certificates));
+  seq.stats = replay.stats();
+  SafetyReport report = make_report(seq, std::move(certificates));
   if (retimed != nullptr) *retimed = std::move(seq.retimed);
   return report;
 }

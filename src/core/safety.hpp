@@ -2,7 +2,9 @@
 // Retiming safety analysis (paper Section 4).
 //
 // Classifies a retiming — given either as a lag assignment or as an explicit
-// move sequence — into the paper's taxonomy and derives the guarantees:
+// move sequence — into the paper's taxonomy in one MoveReplay
+// (retime/sequencer.hpp) that applies, classifies and certifies every move,
+// and derives the guarantees:
 //   * no forward move across a non-justifiable element  =>  C ⊑ D, hence
 //     C ≼ D (Prop 4.1 + Cor 4.4): drop-in safe replacement.
 //   * otherwise, with at most k forward moves across any single
@@ -27,11 +29,6 @@ struct SafetyReport {
   bool safe_replacement_guaranteed = false;
   /// Thm 4.5 bound: C^k ⊑ D. Zero when safe_replacement_guaranteed.
   std::size_t delay_bound = 0;
-  /// The static plan analyzer (analysis/plan.hpp) replayed the sequence
-  /// without mutating the design and produced the same stats — the reported
-  /// delay_bound is then an independently derived certificate, not just a
-  /// by-product of applying the moves.
-  bool statically_verified = false;
   /// Thm 5.1's certificate for each move (analysis/dataflow.hpp), taken in
   /// the replay that applies the moves.
   std::vector<MoveCertificate> move_certificates;

@@ -1,9 +1,8 @@
 #include "fault/test_eval.hpp"
 
-#include "sim/binary_sim.hpp"
 #include "sim/cls_sim.hpp"
 #include "sim/exact_sim.hpp"
-#include "util/bits.hpp"
+#include "stg/stg.hpp"
 
 namespace rtv {
 
@@ -15,31 +14,15 @@ TritsSeq exact_response(const Netlist& netlist, const BitsSeq& test) {
 namespace {
 
 /// All states possible after `cycles` arbitrary-input steps from any
-/// power-up state (packed), by repeated image computation.
+/// power-up state (packed), as the delayed design's state set. Throws
+/// CapacityError above the STG entry cap.
 std::vector<std::uint64_t> delayed_state_set(const Netlist& netlist,
                                              unsigned cycles) {
-  const unsigned latches = static_cast<unsigned>(netlist.latches().size());
-  const unsigned pis = static_cast<unsigned>(netlist.primary_inputs().size());
-  RTV_REQUIRE(latches <= 20, "delayed_state_set supports <= 20 latches");
-  RTV_REQUIRE(pis <= 16, "delayed_state_set supports <= 16 inputs");
-  BinarySimulator sim(netlist);
-  std::vector<bool> current(pow2(latches), true);
-  for (unsigned k = 0; k < cycles; ++k) {
-    std::vector<bool> image(current.size(), false);
-    for (std::uint64_t s = 0; s < current.size(); ++s) {
-      if (!current[s]) continue;
-      for (std::uint64_t a = 0; a < pow2(pis); ++a) {
-        std::uint64_t out = 0, ns = 0;
-        sim.eval_packed(s, a, out, ns);
-        image[ns] = true;
-      }
-    }
-    if (image == current) break;
-    current = std::move(image);
-  }
+  const std::vector<bool> reachable =
+      states_after_delay(Stg::extract(netlist), cycles);
   std::vector<std::uint64_t> states;
-  for (std::uint64_t s = 0; s < current.size(); ++s) {
-    if (current[s]) states.push_back(s);
+  for (std::uint64_t s = 0; s < reachable.size(); ++s) {
+    if (reachable[s]) states.push_back(s);
   }
   return states;
 }

@@ -22,8 +22,9 @@ namespace rtv {
 TritsSeq exact_response(const Netlist& netlist, const BitsSeq& test);
 
 /// Exact response starting from the states possible after `delay_cycles`
-/// arbitrary-input cycles (the C^n of Section 3.4). Requires the number of
-/// primary inputs to be small enough to enumerate (<= 16).
+/// arbitrary-input cycles (the C^n of Section 3.4), read off the extracted
+/// STG. Throws CapacityError when 2^(latches + inputs) exceeds the STG
+/// entry cap (kDefaultStgEntryCap).
 TritsSeq exact_response_delayed(const Netlist& netlist, const BitsSeq& test,
                                 unsigned delay_cycles);
 

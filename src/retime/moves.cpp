@@ -21,15 +21,6 @@ MoveClass classify_move(const Netlist& netlist, const RetimingMove& move) {
 
 namespace {
 
-/// The element's ports must each drive exactly one pin for a move to have a
-/// well-defined effect (the paper's junction-normal form).
-bool ports_single_sink(const Netlist& netlist, NodeId element) {
-  for (std::uint32_t p = 0; p < netlist.num_ports(element); ++p) {
-    if (netlist.sinks(PortRef(element, p)).size() != 1) return false;
-  }
-  return true;
-}
-
 /// A latch is movable across an element only when the latch's own port
 /// feeds exactly one pin (true in junction-normal form).
 bool latch_on_pin(const Netlist& netlist, NodeId element, std::uint32_t pin,
@@ -53,24 +44,38 @@ bool latch_on_port(const Netlist& netlist, NodeId element, std::uint32_t port,
 
 }  // namespace
 
-bool can_apply(const Netlist& netlist, const RetimingMove& move) {
+MoveReason move_reason(const Netlist& netlist, const RetimingMove& move) {
   const NodeId e = move.element;
   if (!e.valid() || e.value >= netlist.num_slots() || netlist.is_dead(e)) {
-    return false;
+    return {MoveReason::kDeadElement};
   }
-  if (!is_combinational(netlist.kind(e))) return false;
-  if (!ports_single_sink(netlist, e)) return false;
+  if (!is_combinational(netlist.kind(e))) {
+    return {MoveReason::kNotCombinational};
+  }
+  // The element's ports must each drive exactly one pin for a move to have
+  // a well-defined effect (the paper's junction-normal form).
+  for (std::uint32_t port = 0; port < netlist.num_ports(e); ++port) {
+    if (netlist.sinks(PortRef(e, port)).size() != 1) {
+      return {MoveReason::kPortFanout, port};
+    }
+  }
   if (move.direction == MoveDirection::kForward) {
     for (std::uint32_t pin = 0; pin < netlist.num_pins(e); ++pin) {
-      if (!latch_on_pin(netlist, e, pin, nullptr)) return false;
+      if (!latch_on_pin(netlist, e, pin, nullptr)) {
+        return {MoveReason::kNoLatchOnPin, pin};
+      }
     }
   } else {
-    if (netlist.num_ports(e) == 0) return false;
+    // Every combinational cell has at least one port (add_junc, add_gate,
+    // add_const and truth tables all guarantee it), so no backward move
+    // conjures latches from nothing.
     for (std::uint32_t port = 0; port < netlist.num_ports(e); ++port) {
-      if (!latch_on_port(netlist, e, port, nullptr)) return false;
+      if (!latch_on_port(netlist, e, port, nullptr)) {
+        return {MoveReason::kNoLatchOnPort, port};
+      }
     }
   }
-  return true;
+  return {};
 }
 
 MoveClass apply_move(Netlist& netlist, const RetimingMove& move) {
@@ -124,6 +129,12 @@ std::string MoveSequenceStats::summary() const {
      << " fwd across non-justifiable, k = "
      << max_forward_per_non_justifiable;
   return os.str();
+}
+
+std::string MoveSequenceStats::certificate() const {
+  if (preserves_safe_replacement()) return "safe replacement (C ⊑ D, Cor 4.4)";
+  return "C^" + std::to_string(max_forward_per_non_justifiable) +
+         " ⊑ D (Thm 4.5)";
 }
 
 }  // namespace rtv

@@ -48,11 +48,37 @@ struct MoveClass {
 /// Classifies a move on a given netlist (queries element justifiability).
 MoveClass classify_move(const Netlist& netlist, const RetimingMove& move);
 
+/// Why a move is or is not enabled: kEnabled, or the first check it fails.
+/// `index` names the pin or port that failed it (kPortFanout, kNoLatchOnPin,
+/// kNoLatchOnPort).
+struct MoveReason {
+  enum Code : std::uint8_t {
+    kEnabled,
+    kDeadElement,       ///< not a live netlist node
+    kNotCombinational,  ///< a latch, primary input or primary output
+    kPortFanout,        ///< output port `index` does not drive exactly 1 pin
+    kNoLatchOnPin,      ///< forward: input pin `index` is not latch-driven
+    kNoLatchOnPort,     ///< backward: output port `index` feeds no latch
+  };
+  Code code = kEnabled;
+  std::uint32_t index = 0;
+
+  bool enabled() const { return code == kEnabled; }
+  /// The element is a live combinational cell, whatever the latches say.
+  bool element_ok() const {
+    return code == kEnabled || code > kNotCombinational;
+  }
+};
+
 /// Structural enabledness. Forward: every input pin of the element is driven
 /// by a latch; backward: every output port of the element feeds a latch.
 /// Both require the netlist to be junction-normal around the element and
 /// every element port to have exactly one sink.
-bool can_apply(const Netlist& netlist, const RetimingMove& move);
+MoveReason move_reason(const Netlist& netlist, const RetimingMove& move);
+
+inline bool can_apply(const Netlist& netlist, const RetimingMove& move) {
+  return move_reason(netlist, move).enabled();
+}
 
 /// Applies an atomic move in place. Throws InvalidArgument if !can_apply.
 /// Returns the classification of the applied move.
@@ -78,6 +104,9 @@ struct MoveSequenceStats {
   }
   bool operator==(const MoveSequenceStats&) const = default;
   std::string summary() const;
+  /// The guarantee: "safe replacement (C ⊑ D, Cor 4.4)" or
+  /// "C^k ⊑ D (Thm 4.5)".
+  std::string certificate() const;
 };
 
 }  // namespace rtv

@@ -6,22 +6,35 @@
 
 namespace rtv {
 
-void accumulate_move(const RetimingMove& move, const MoveClass& cls,
-                     std::vector<std::uint32_t>& forward_counts,
-                     MoveSequenceStats& stats) {
-  ++stats.total_moves;
-  if (cls.direction == MoveDirection::kForward) {
-    ++stats.forward_moves;
-    if (!cls.justifiable) {
-      ++stats.forward_across_non_justifiable;
-      RTV_CHECK(move.element.value < forward_counts.size());
-      const std::uint32_t count = ++forward_counts[move.element.value];
-      stats.max_forward_per_non_justifiable = std::max<std::size_t>(
-          stats.max_forward_per_non_justifiable, count);
-    }
-  } else {
-    ++stats.backward_moves;
+MoveReplay::MoveReplay(Netlist& work, MoveVisitor before_move)
+    : work_(work), before_move_(std::move(before_move)),
+      forward_counts_(work.num_slots(), 0) {}
+
+MoveReason MoveReplay::step(const RetimingMove& move, MoveClass* cls) {
+  const MoveReason reason = move_reason(work_, move);
+  if (!reason.enabled()) return reason;
+  if (before_move_) before_move_(work_, move);
+  const MoveClass applied = apply_move(work_, move);
+  count(move, applied);
+  if (cls != nullptr) *cls = applied;
+  return reason;
+}
+
+void MoveReplay::count(const RetimingMove& move, const MoveClass& cls) {
+  ++stats_.total_moves;
+  if (cls.direction == MoveDirection::kBackward) {
+    ++stats_.backward_moves;
+    return;
   }
+  ++stats_.forward_moves;
+  if (cls.justifiable) return;
+  ++stats_.forward_across_non_justifiable;
+  // Moves create and destroy latches only, so every element's slot predates
+  // the replay.
+  RTV_CHECK(move.element.value < forward_counts_.size());
+  const std::uint32_t count = ++forward_counts_[move.element.value];
+  stats_.max_forward_per_non_justifiable =
+      std::max<std::size_t>(stats_.max_forward_per_non_justifiable, count);
 }
 
 SequencedRetiming sequence_retiming(const Netlist& netlist,
@@ -32,13 +45,11 @@ SequencedRetiming sequence_retiming(const Netlist& netlist,
 
   SequencedRetiming result;
   result.retimed = netlist;  // working copy, mutated move by move
-  Netlist& work = result.retimed;
+  MoveReplay replay(result.retimed, before_move);
 
   // applied[v] tracks how many net backward moves have been performed
   // across vertex v; the goal is applied == lag.
   std::vector<int> applied(graph.num_vertices(), 0);
-  std::vector<std::uint32_t> forward_counts(netlist.num_slots(), 0);
-
   std::int64_t pending_total = 0;
   for (std::uint32_t v = 2; v < graph.num_vertices(); ++v) {
     pending_total += std::abs(lag[v]);
@@ -51,19 +62,18 @@ SequencedRetiming sequence_retiming(const Netlist& netlist,
       const MoveDirection dir = applied[v] < lag[v] ? MoveDirection::kBackward
                                                     : MoveDirection::kForward;
       const RetimingMove move{graph.vertex_origin(v), dir};
-      if (!can_apply(work, move)) continue;
-      if (before_move) before_move(work, move);
-      const MoveClass cls = apply_move(work, move);
+      MoveClass cls;
+      if (!replay.step(move, &cls).enabled()) continue;
       applied[v] += (dir == MoveDirection::kBackward) ? 1 : -1;
       --pending_total;
       progress = true;
       result.moves.push_back(move);
       result.classes.push_back(cls);
-      accumulate_move(move, cls, forward_counts, result.stats);
     }
     RTV_CHECK_MSG(progress,
                   "sequencer stalled: no enabled move despite pending lag");
   }
+  result.stats = replay.stats();
   return result;
 }
 

@@ -174,7 +174,7 @@ JsonValue encode_lint(const LintResult& r) {
     plan.emplace_back("k", JsonValue(static_cast<double>(p.k())));
     plan.emplace_back("safe_replacement",
                       JsonValue(p.stats.preserves_safe_replacement()));
-    plan.emplace_back("certificate", JsonValue(p.certificate()));
+    plan.emplace_back("certificate", JsonValue(p.stats.certificate()));
     out.emplace_back("plan", JsonValue(std::move(plan)));
   }
   return JsonValue(std::move(out));

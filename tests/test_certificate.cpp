@@ -1,8 +1,9 @@
 // Thm 5.1's per-move certificate as validate's CLS gate: the records
 // analyze_lag_retiming takes from the sequencer's own replay must equal
-// certify_plan_moves move for move (and an independent copy of the older
-// per-move-mask certifier), and a complete certificate must never be
-// refuted by the explicit, BDD or SAT engine.
+// the lint replay's (analyze_plan) on every unsafe-class move, and an
+// independent copy of the older per-move-mask certifier on every move; a
+// complete certificate must never be refuted by the explicit, BDD or SAT
+// engine.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "analysis/dataflow.hpp"
+#include "analysis/plan.hpp"
 #include "core/safety.hpp"
 #include "core/validator.hpp"
 #include "core/verify.hpp"
@@ -28,30 +30,8 @@ namespace {
 
 using testing::delayed_constant;
 using testing::random_legal_lag;
-
-/// The certifier as it was before it moved into the sequencer's replay:
-/// its own scratch replay, the element's full truth table for argument 1
-/// and a fresh observable_mask per move for argument 2.
-std::vector<MoveCertificate> reference_certify_plan_moves(
-    const Netlist& netlist, const std::vector<RetimingMove>& moves) {
-  std::vector<MoveCertificate> certificates(moves.size());
-  Netlist scratch = netlist;
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    MoveCertificate& cert = certificates[i];
-    const RetimingMove& move = moves[i];
-    if (scratch.cell_function(move.element).preserves_all_x()) {
-      cert.certified = true;
-    } else if (!observable_mask(scratch)[move.element.value]) {
-      cert.certified = true;
-    } else {
-      Netlist after = scratch;
-      apply_move(after, move);
-      cert.certified = static_cls_equivalence_proof(scratch, after).has_value();
-    }
-    apply_move(scratch, move);
-  }
-  return certificates;
-}
+using testing::reference_certify_plan_moves;
+using testing::stuck_at_x;
 
 /// The older cls_certify rule: some unsafe-class move, within the moves ×
 /// slots budget, and every unsafe-class move certified.
@@ -69,33 +49,6 @@ bool reference_cls_certified_safe(const Netlist& netlist,
     }
   }
   return true;
-}
-
-/// A toggle latch T that never leaves X, XORed with a buffered constant
-/// delayed by one latch: the output is X on every cycle. Min-area moves
-/// that latch back across the buffer (argument 1) and then across the
-/// constant, which only the whole-design fixpoint certifies. The second
-/// move is not enabled in the original design, only after the first.
-Netlist stuck_at_x() {
-  Netlist n;
-  const NodeId out = n.add_output("out");
-  const NodeId c = n.add_const(false, "c");
-  const NodeId b = n.add_gate(CellKind::kBuf, 1, "b");
-  const NodeId l = n.add_latch("L");
-  const NodeId t = n.add_latch("T");
-  const NodeId j = n.add_junc(2, "J");
-  const NodeId inv = n.add_gate(CellKind::kNot, 1, "inv");
-  const NodeId x = n.add_gate(CellKind::kXor, 2, "x");
-  n.connect(c, b);
-  n.connect(b, l);
-  n.connect(PortRef(l, 0), PinRef(x, 0));
-  n.connect(PortRef(t, 0), PinRef(j, 0));
-  n.connect(PortRef(j, 0), PinRef(inv, 0));
-  n.connect(PortRef(inv, 0), PinRef(t, 0));
-  n.connect(PortRef(j, 1), PinRef(x, 1));
-  n.connect(x, out);
-  n.check_valid(true);
-  return n;
 }
 
 /// A constant delayed into a latch loop that reaches no output, beside a
@@ -186,18 +139,23 @@ TEST(Certificate, SequencerRecordsEqualTheStandaloneCertifier) {
     SequencedRetiming seq;
     const SafetyReport report =
         analyze_lag_retiming(c.netlist, g, c.lag, &seq);
-    const std::vector<MoveCertificate> standalone =
-        certify_plan_moves(c.netlist, seq.moves);
+    const PlanAnalysis lint =
+        analyze_plan(c.netlist, seq.moves, /*certify_unsafe=*/true);
     const std::vector<MoveCertificate> reference =
         reference_certify_plan_moves(c.netlist, seq.moves);
     ASSERT_EQ(report.move_certificates.size(), seq.moves.size());
-    ASSERT_EQ(standalone.size(), seq.moves.size());
+    ASSERT_EQ(lint.moves.size(), seq.moves.size());
     for (std::size_t i = 0; i < seq.moves.size(); ++i) {
       SCOPED_TRACE("move " + std::to_string(i));
       const MoveCertificate& got = report.move_certificates[i];
-      EXPECT_EQ(got.certified, standalone[i].certified);
-      EXPECT_EQ(got.argument, standalone[i].argument);
-      EXPECT_EQ(got.reason, standalone[i].reason);
+      const std::optional<MoveCertificate>& linted = lint.moves[i].certificate;
+      ASSERT_EQ(linted.has_value(),
+                !seq.classes[i].preserves_safe_replacement());
+      if (linted) {
+        EXPECT_EQ(got.certified, linted->certified);
+        EXPECT_EQ(got.argument, linted->argument);
+        EXPECT_EQ(got.reason, linted->reason);
+      }
       EXPECT_EQ(got.certified, reference[i].certified);
       EXPECT_EQ(got.certified, got.argument != CertificateArgument::kNone);
       by_fixpoint += got.argument == CertificateArgument::kFixpoint;

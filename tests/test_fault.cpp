@@ -7,6 +7,9 @@
 #include "gen/random_circuits.hpp"
 #include "gen/shift.hpp"
 #include "sim/binary_sim.hpp"
+#include "sim/exact_sim.hpp"
+#include "stg/stg.hpp"
+#include "util/bits.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -151,6 +154,89 @@ TEST(TestEval, DelayedResponseShrinksStateSet) {
   EXPECT_EQ(sequence_to_string(exact_response(c, test)), "0.X.X.X");
   EXPECT_EQ(sequence_to_string(exact_response_delayed(c, test, 1)),
             "0.0.1.0");
+}
+
+/// The delayed state set as it was computed before it came from the STG:
+/// repeated images, one scalar eval_packed per (state, input) per round.
+std::vector<std::uint64_t> reference_delayed_state_set(const Netlist& netlist,
+                                                       unsigned cycles) {
+  const unsigned latches = static_cast<unsigned>(netlist.latches().size());
+  const unsigned pis = static_cast<unsigned>(netlist.primary_inputs().size());
+  BinarySimulator sim(netlist);
+  std::vector<bool> current(pow2(latches), true);
+  for (unsigned k = 0; k < cycles; ++k) {
+    std::vector<bool> image(current.size(), false);
+    for (std::uint64_t s = 0; s < current.size(); ++s) {
+      if (!current[s]) continue;
+      for (std::uint64_t a = 0; a < pow2(pis); ++a) {
+        std::uint64_t out = 0, ns = 0;
+        sim.eval_packed(s, a, out, ns);
+        image[ns] = true;
+      }
+    }
+    if (image == current) break;
+    current = std::move(image);
+  }
+  std::vector<std::uint64_t> states;
+  for (std::uint64_t s = 0; s < current.size(); ++s) {
+    if (current[s]) states.push_back(s);
+  }
+  return states;
+}
+
+TEST(TestEval, DelayedStateSetMatchesTheScalarImageLoop) {
+  std::size_t shrunk = 0;
+  for (std::uint64_t seed = 0; seed < 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 6151 + 5);
+    RandomCircuitOptions opt;
+    opt.num_inputs = 1 + static_cast<unsigned>(rng.below(3));
+    opt.num_outputs = 1 + static_cast<unsigned>(rng.below(2));
+    opt.num_gates = 3 + static_cast<unsigned>(rng.below(10));
+    opt.num_latches = 1 + static_cast<unsigned>(rng.below(5));
+    opt.table_probability = seed % 2 == 0 ? 0.0 : 0.4;
+    const Netlist n = random_netlist(opt, rng);
+    const Stg stg = Stg::extract(n);
+    BitsSeq test;
+    for (int t = 0; t < 4; ++t) {
+      Bits v;
+      for (std::size_t i = 0; i < n.primary_inputs().size(); ++i) {
+        v.push_back(rng.coin());
+      }
+      test.push_back(v);
+    }
+    for (unsigned cycles = 0; cycles <= 3; ++cycles) {
+      const std::vector<std::uint64_t> want =
+          reference_delayed_state_set(n, cycles);
+      const std::vector<bool> got = states_after_delay(stg, cycles);
+      std::vector<std::uint64_t> got_states;
+      for (std::uint64_t s = 0; s < got.size(); ++s) {
+        if (got[s]) got_states.push_back(s);
+      }
+      EXPECT_EQ(got_states, want) << "cycles " << cycles;
+      shrunk += want.size() < got.size();
+
+      ExactTernarySimulator sim(n);
+      sim.reset_from_states(want);
+      EXPECT_EQ(sequence_to_string(exact_response_delayed(n, test, cycles)),
+                sequence_to_string(sim.run(test)))
+          << "cycles " << cycles;
+    }
+  }
+  EXPECT_GE(shrunk, 50u);  // the delay actually removes states
+}
+
+TEST(TestEval, DelayedResponseAboveTheStgCapIsACapacityError) {
+  // 2^(10 latches + 16 inputs) entries, above kDefaultStgEntryCap (2^24).
+  Rng rng(7);
+  RandomCircuitOptions opt;
+  opt.num_inputs = 16;
+  opt.num_latches = 10;
+  opt.latch_after_gate_probability = 0.0;
+  const Netlist n = random_netlist(opt, rng);
+  ASSERT_EQ(n.num_latches(), 10u);
+  EXPECT_THROW(exact_response_delayed(n, BitsSeq{Bits(16, 0)}, 1),
+               CapacityError);
 }
 
 TEST(FaultSim, ExactCoverage) {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dataflow.hpp"
 #include "netlist/netlist.hpp"
 #include "retime/graph.hpp"
 #include "sim/vectors.hpp"
@@ -109,6 +110,33 @@ inline Netlist delayed_constant() {
   return n;
 }
 
+/// A toggle latch T that never leaves X, XORed with a buffered constant
+/// delayed by one latch: the output is X on every cycle. Min-area moves
+/// that latch back across the buffer (argument 1) and then across the
+/// constant, which only the whole-design fixpoint certifies. The second
+/// move is not enabled in the original design, only after the first.
+inline Netlist stuck_at_x() {
+  Netlist n;
+  const NodeId out = n.add_output("out");
+  const NodeId c = n.add_const(false, "c");
+  const NodeId b = n.add_gate(CellKind::kBuf, 1, "b");
+  const NodeId l = n.add_latch("L");
+  const NodeId t = n.add_latch("T");
+  const NodeId j = n.add_junc(2, "J");
+  const NodeId inv = n.add_gate(CellKind::kNot, 1, "inv");
+  const NodeId x = n.add_gate(CellKind::kXor, 2, "x");
+  n.connect(c, b);
+  n.connect(b, l);
+  n.connect(PortRef(l, 0), PinRef(x, 0));
+  n.connect(PortRef(t, 0), PinRef(j, 0));
+  n.connect(PortRef(j, 0), PinRef(inv, 0));
+  n.connect(PortRef(inv, 0), PinRef(t, 0));
+  n.connect(PortRef(j, 1), PinRef(x, 1));
+  n.connect(x, out);
+  n.check_valid(true);
+  return n;
+}
+
 /// A random legal lag: `attempts` single-vertex +-1 probes, each kept when
 /// the retiming stays legal.
 inline std::vector<int> random_legal_lag(const RetimeGraph& g, Rng& rng,
@@ -122,6 +150,31 @@ inline std::vector<int> random_legal_lag(const RetimeGraph& g, Rng& rng,
     if (g.legal_retiming(probe)) lag = probe;
   }
   return lag;
+}
+
+/// The per-move certifier as an independent reference: its own scratch
+/// replay of an all-enabled plan, the element's full truth table for
+/// argument 1, a fresh observable_mask per move for argument 2 and the
+/// whole-design proof on every remaining move.
+inline std::vector<MoveCertificate> reference_certify_plan_moves(
+    const Netlist& netlist, const std::vector<RetimingMove>& moves) {
+  std::vector<MoveCertificate> certificates(moves.size());
+  Netlist scratch = netlist;
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    MoveCertificate& cert = certificates[i];
+    const RetimingMove& move = moves[i];
+    if (scratch.cell_function(move.element).preserves_all_x()) {
+      cert.certified = true;
+    } else if (!observable_mask(scratch)[move.element.value]) {
+      cert.certified = true;
+    } else {
+      Netlist after = scratch;
+      apply_move(after, move);
+      cert.certified = static_cls_equivalence_proof(scratch, after).has_value();
+    }
+    apply_move(scratch, move);
+  }
+  return certificates;
 }
 
 }  // namespace rtv::testing
