@@ -14,6 +14,10 @@
 //  * narrow_random: a seeded 3-input, 60-gate random design against its
 //    min-period retiming. Its reachable state-pair set is small, so the
 //    portfolio's explicit stage proves it before the BDD/SAT race starts.
+//  * wide_mutant: an 8-input pipelined adder, min-area retimed, against
+//    one of its stuck-at mutants that kCls fault simulation detects. Too
+//    wide for the stage's pair BFS, but the stage's sampling refutes it
+//    before the race spawns an engine thread.
 //
 // Every pair is a plain retiming, which the per-move certificate of its
 // recovered lag would decide ahead of any engine; the engine rows run with
@@ -26,7 +30,8 @@
 // contract: on multiplier_like the capped BDD run must exhaust AND the SAT
 // run must return a definitive (proven) verdict; on narrow_random the
 // explicit stage must decide the portfolio run, and the certificate the
-// portfolio run with static arguments allowed; on every workload the
+// portfolio run with static arguments allowed; on wide_mutant the explicit
+// stage must refute the portfolio run; on every workload the
 // portfolio must return a conclusive verdict and finish within 1.2x the
 // best single backend (plus a small absolute grace for thread-scheduling
 // jitter on sub-millisecond runs). RTV_BENCH_SMOKE=1 shrinks the cones so
@@ -40,6 +45,8 @@
 #include "bench_util.hpp"
 #include "core/safety.hpp"
 #include "core/verify.hpp"
+#include "fault/engine.hpp"
+#include "fault/fault.hpp"
 #include "gen/datapath.hpp"
 #include "gen/random_circuits.hpp"
 #include "retime/graph.hpp"
@@ -187,6 +194,38 @@ std::vector<Workload> run_report(bench::Report* report, bool smoke) {
     workloads.back().runs.push_back(certified);
   }
 
+  // Wide mutant: the retimed adder against the middle one of its
+  // kCls-detected stuck-at faults, a fixed choice per design.
+  {
+    const Netlist adder = pipelined_adder(4, 2);
+    const RetimeGraph g = RetimeGraph::from_netlist(adder);
+    SequencedRetiming seq;
+    analyze_lag_retiming(adder, g, min_area_retime(g).lag, &seq);
+    Rng rng(0x5eed);
+    std::vector<BitsSeq> tests(16);
+    for (BitsSeq& test : tests) {
+      for (int t = 0; t < 12; ++t) {
+        Bits in(seq.retimed.primary_inputs().size());
+        for (auto& v : in) v = rng.coin();
+        test.push_back(in);
+      }
+    }
+    FaultSimOptions fo;
+    fo.mode = FaultSimMode::kCls;
+    const std::vector<Fault> faults = collapse_faults(seq.retimed);
+    const FaultSimResult fr = FaultSimEngine(seq.retimed, tests, fo).run(faults);
+    std::vector<std::size_t> detected;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (fr.detected[i]) detected.push_back(i);
+    }
+    const Netlist mutant =
+        inject_fault(seq.retimed, faults.at(detected.at(detected.size() / 2)));
+    report->gate({"wide_mutant", "core", "portfolio.decided_by"},
+                 bench::Gate::eq("explicit"));
+    workloads.push_back(run_workload(report, "wide_mutant", seq.retimed,
+                                     mutant, engines_only()));
+  }
+
   return workloads;
 }
 
@@ -195,8 +234,8 @@ std::vector<Workload> run_report(bench::Report* report, bool smoke) {
 void report() {
   bench::heading("backend matrix / portfolio",
                  "per-backend time-to-verdict on BDD-friendly, "
-                 "multiplier-like and narrow random cones; portfolio "
-                 "contract");
+                 "multiplier-like, narrow random and wide mutant cones; "
+                 "portfolio contract");
   bench::Report report("backend_portfolio");
   const std::vector<Workload> workloads =
       run_report(&report, bench::smoke_mode());

@@ -39,7 +39,7 @@ namespace rtv {
 ///                 (bdd/cls_bdd.hpp);
 ///  * kSat       — CDCL BMC + k-induction over the unrolled miter AIG
 ///                 (sat/equiv.hpp);
-///  * kPortfolio — an explicit stage for narrow designs, then BDD and SAT
+///  * kPortfolio — an explicit stage (pair BFS, sampling), then BDD and SAT
 ///                 raced on the same query with verdict cross-checking;
 ///  * kStatic    — the ternary dataflow fixpoint (analysis/dataflow.hpp):
 ///                 a whole-design abstract-interpretation proof with no

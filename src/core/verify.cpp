@@ -124,8 +124,8 @@ ResourceLimits slice_limits(ResourceBudget* parent,
   return limits;
 }
 
-/// The portfolio's explicit stage runs only on designs of at most this many
-/// inputs (3^6 = 729 input vectors per state pair)...
+/// The portfolio's explicit stage runs its pair BFS only on designs of at
+/// most this many inputs (3^6 = 729 input vectors per state pair)...
 constexpr unsigned kStageMaxInputs = 6;
 /// ...and gives up after min(kStageMaxPairs, kStageSuccessors / 3^inputs)
 /// state pairs: about 2^17 (pair, input) successors, or 1-3 ms of packed
@@ -133,44 +133,75 @@ constexpr unsigned kStageMaxInputs = 6;
 /// pair space (shift_register(12)) hands over to the race within 2 ms.
 constexpr std::size_t kStageMaxPairs = 4096;
 constexpr std::uint64_t kStageSuccessors = std::uint64_t{1} << 17;
+/// Every pair the BFS has not decided is then sampled once, refute-only:
+/// one word of 64 random ternary sequences over 16 cycles, well under a
+/// millisecond where the race pays two thread spawns and a CNF build
+/// before SAT's BMC finds the same shallow difference.
+constexpr unsigned kStageSequences = 64;
+constexpr unsigned kStageCycles = 16;
 
-/// The explicit stage: the packed pair BFS (core/cls_equiv.hpp), run on the
-/// calling thread before any engine thread is spawned, within the allowance
-/// above. Narrow retimed pairs close here in about a millisecond, where
-/// SAT's k-induction takes tens. Returns nullopt when the design is not
-/// narrow or the search does not conclude, reporting what it spent in
-/// `spent` so the race can run on the rest of the budget. The stage budget
-/// shares the caller's cancellation token and deadline but is its own
-/// object, so running out of allowance never marks the caller exhausted.
+/// The explicit stage, run on the calling thread before any engine thread
+/// is spawned: the packed pair BFS (core/cls_equiv.hpp) on narrow designs,
+/// within the allowance above, then the bounded sampler on whatever the
+/// BFS left open. Narrow retimed pairs close in about a millisecond, where
+/// SAT's k-induction takes tens, and a sampled difference refutes a pair
+/// outright: the counterexample is definitive. Returns nullopt when
+/// neither concludes, reporting what it spent in `spent` so the race can
+/// run on the rest of the budget. Each run's budget shares the caller's
+/// cancellation token and deadline but is its own object, so running out
+/// of allowance never marks the caller exhausted, and a trip never decides.
 std::optional<ClsEquivalenceResult> try_explicit_stage(
     const Netlist& a, const Netlist& b, const VerifyOptions& options,
     ResourceBudget* budget, ResourceUsage* spent) {
+  const auto run = [&](const ClsEquivOptions& opts, ResourceLimits limits) {
+    ResourceBudget stage = ResourceBudget::with_deadline(
+        limits,
+        budget != nullptr ? budget->cancel_token() : CancellationToken{},
+        budget != nullptr ? budget->deadline() : std::nullopt);
+    ClsEquivalenceResult result = check_cls_equivalence(a, b, opts, &stage);
+    const ResourceUsage used = stage.usage();
+    spent->wall_ms += used.wall_ms;
+    spent->steps += used.steps;
+    spent->state_pairs = std::max(spent->state_pairs, used.state_pairs);
+    return result;
+  };
+  std::optional<ClsEquivalenceResult> decided;
   const unsigned width = static_cast<unsigned>(a.primary_inputs().size());
-  if (width > kStageMaxInputs ||
-      !pair_bfs_applies(a, b, options.explicit_opts)) {
-    return std::nullopt;
+  if (width <= kStageMaxInputs &&
+      pair_bfs_applies(a, b, options.explicit_opts)) {
+    ResourceLimits limits = slice_limits(budget);
+    const std::size_t allowance =
+        std::min<std::size_t>(kStageMaxPairs, kStageSuccessors / pow3(width));
+    limits.pair_limit = limits.pair_limit == 0
+                            ? allowance
+                            : std::min(limits.pair_limit, allowance);
+    ClsEquivalenceResult bfs = run(options.explicit_opts, limits);
+    if (bfs.verdict == Verdict::kProven) decided = std::move(bfs);
   }
-  ResourceLimits limits = slice_limits(budget);
-  const std::size_t allowance =
-      std::min<std::size_t>(kStageMaxPairs, kStageSuccessors / pow3(width));
-  limits.pair_limit = limits.pair_limit == 0
-                          ? allowance
-                          : std::min(limits.pair_limit, allowance);
-  ResourceBudget stage = ResourceBudget::with_deadline(
-      limits, budget != nullptr ? budget->cancel_token() : CancellationToken{},
-      budget != nullptr ? budget->deadline() : std::nullopt);
-  ClsEquivalenceResult result =
-      check_cls_equivalence(a, b, options.explicit_opts, &stage);
-  *spent = stage.usage();
-  if (result.verdict != Verdict::kProven) return std::nullopt;
-  result.decided_reason = "portfolio: explicit stage: " + result.decided_reason;
+  if (!decided) {
+    ClsEquivOptions sampling = options.explicit_opts;
+    sampling.max_branching = 0;  // no pair BFS: sample from the start
+    sampling.random_sequences = kStageSequences;
+    sampling.random_length = kStageCycles;
+    ClsEquivalenceResult sampled =
+        run(sampling, slice_limits(budget, spent->steps));
+    if (!sampled.counterexample) return std::nullopt;
+    sampled.verdict = Verdict::kProven;
+    sampled.exhaustive = true;
+    decided = std::move(sampled);
+  }
+  decided->decided_reason =
+      "portfolio: explicit stage: " + decided->decided_reason;
+  decided->usage.wall_ms = spent->wall_ms;
+  decided->usage.steps = spent->steps;
+  decided->usage.state_pairs = spent->state_pairs;
   if (budget != nullptr) {
     const ResourceUsage parent = budget->usage();
-    result.usage.wall_ms = parent.wall_ms;
-    result.usage.steps += parent.steps;
-    result.usage.peak_bdd_nodes = parent.peak_bdd_nodes;
+    decided->usage.wall_ms = parent.wall_ms;
+    decided->usage.steps += parent.steps;
+    decided->usage.peak_bdd_nodes = parent.peak_bdd_nodes;
   }
-  return result;
+  return decided;
 }
 
 ClsEquivalenceResult run_portfolio(const Netlist& a, const Netlist& b,

@@ -14,9 +14,10 @@
 // Portfolio mode then runs an explicit stage, then a race. The explicit
 // stage gives narrow designs (at most 6 inputs, pair BFS eligible) the
 // packed pair BFS on the calling thread, within min(4096, 2^17 / 3^inputs)
-// state pairs; a conclusive answer there is returned stamped decided_by =
-// kExplicit. Otherwise the BDD and SAT backends are raced concurrently on
-// the rest of the budget, each under
+// state pairs, then samples every pair it left open (64 sequences x 16
+// cycles, refute-only); a conclusive answer there is returned stamped
+// decided_by = kExplicit. Otherwise the BDD and SAT backends are raced
+// concurrently on the rest of the budget, each under
 // its own slice of it (so one engine exhausting its slice can never poison
 // the other); the loser is cancelled as soon as either produces a
 // conclusive (kProven) answer, and — whenever both engines conclude —

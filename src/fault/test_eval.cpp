@@ -11,11 +11,6 @@ TritsSeq exact_response(const Netlist& netlist, const BitsSeq& test) {
   return sim.run(test);
 }
 
-namespace {
-
-/// All states possible after `cycles` arbitrary-input steps from any
-/// power-up state (packed), as the delayed design's state set. Throws
-/// CapacityError above the STG entry cap.
 std::vector<std::uint64_t> delayed_state_set(const Netlist& netlist,
                                              unsigned cycles) {
   const std::vector<bool> reachable =
@@ -27,13 +22,18 @@ std::vector<std::uint64_t> delayed_state_set(const Netlist& netlist,
   return states;
 }
 
-}  // namespace
+TritsSeq exact_response_from(const Netlist& netlist,
+                             const std::vector<std::uint64_t>& states,
+                             const BitsSeq& test) {
+  ExactTernarySimulator sim(netlist);
+  sim.reset_from_states(states);
+  return sim.run(test);
+}
 
 TritsSeq exact_response_delayed(const Netlist& netlist, const BitsSeq& test,
                                 unsigned delay_cycles) {
-  ExactTernarySimulator sim(netlist);
-  sim.reset_from_states(delayed_state_set(netlist, delay_cycles));
-  return sim.run(test);
+  return exact_response_from(
+      netlist, delayed_state_set(netlist, delay_cycles), test);
 }
 
 TritsSeq cls_response(const Netlist& netlist, const BitsSeq& test) {

@@ -21,10 +21,19 @@ namespace rtv {
 /// starting from all power-up states.
 TritsSeq exact_response(const Netlist& netlist, const BitsSeq& test);
 
-/// Exact response starting from the states possible after `delay_cycles`
-/// arbitrary-input cycles (the C^n of Section 3.4), read off the extracted
+/// The states possible after `cycles` arbitrary-input cycles from any
+/// power-up state (the C^n of Section 3.4), packed, read off the extracted
 /// STG. Throws CapacityError when 2^(latches + inputs) exceeds the STG
 /// entry cap (kDefaultStgEntryCap).
+std::vector<std::uint64_t> delayed_state_set(const Netlist& netlist,
+                                             unsigned cycles);
+
+/// Exact response starting from an explicit set of packed states.
+TritsSeq exact_response_from(const Netlist& netlist,
+                             const std::vector<std::uint64_t>& states,
+                             const BitsSeq& test);
+
+/// exact_response_from the delayed_state_set.
 TritsSeq exact_response_delayed(const Netlist& netlist, const BitsSeq& test,
                                 unsigned delay_cycles);
 

@@ -1,5 +1,6 @@
 #include "fault/tpg.hpp"
 
+#include <optional>
 #include <sstream>
 
 namespace rtv {
@@ -82,6 +83,11 @@ TestSet grade_tests(const Netlist& netlist, const std::vector<Fault>& faults,
   set.detected.assign(faults.size(), false);
   set.detected_by.assign(faults.size(), -1);
   set.tests = tests;
+  // Delayed grading reads the fault-free state set, and each test's good
+  // response, once per call, and each faulty design's state set once per
+  // fault, not an STG extraction pair per (fault, test).
+  std::optional<std::vector<std::uint64_t>> good_states;
+  std::vector<std::optional<TritsSeq>> good(tests.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     // Skip faults whose site died in the graded design (e.g. swept logic).
     if (faults[i].site.node.value >= netlist.num_slots() ||
@@ -89,13 +95,23 @@ TestSet grade_tests(const Netlist& netlist, const std::vector<Fault>& faults,
         netlist.sinks(faults[i].site).empty()) {
       continue;
     }
+    std::optional<Netlist> faulty;
+    std::vector<std::uint64_t> faulty_states;
+    const auto detects = [&](std::size_t t) {
+      if (delay_cycles == 0) return test_detects(netlist, faults[i], tests[t]);
+      if (!good_states) good_states = delayed_state_set(netlist, delay_cycles);
+      if (!good[t]) {
+        good[t] = exact_response_from(netlist, *good_states, tests[t]);
+      }
+      if (!faulty) {
+        faulty = inject_fault(netlist, faults[i]);
+        faulty_states = delayed_state_set(*faulty, delay_cycles);
+      }
+      return responses_distinguish(
+          *good[t], exact_response_from(*faulty, faulty_states, tests[t]));
+    };
     for (std::size_t t = 0; t < tests.size(); ++t) {
-      const bool hit =
-          delay_cycles == 0
-              ? test_detects(netlist, faults[i], tests[t])
-              : test_detects_delayed(netlist, faults[i], tests[t],
-                                     delay_cycles);
-      if (hit) {
+      if (detects(t)) {
         set.detected[i] = true;
         set.detected_by[i] = static_cast<int>(t);
         break;

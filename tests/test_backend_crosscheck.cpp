@@ -743,5 +743,120 @@ TEST(StagedPortfolio, HonoursACancelledTokenAndAnExpiredDeadline) {
   }
 }
 
+/// The stage's sampling reason; the trailing cycle count varies.
+constexpr char kSamplingReason[] =
+    "portfolio: explicit stage: random sampling of 64 sequences over ";
+
+bool decided_by_sampling(const ClsEquivalenceResult& r) {
+  return r.decided_by == EquivalenceBackend::kExplicit &&
+         r.decided_reason.rfind(kSamplingReason, 0) == 0;
+}
+
+TEST(StagedPortfolio, RefutesWidePairsBySampling) {
+  // 7-16 inputs: past the pair BFS's width, so sampling is the stage's only
+  // tool. Whatever it decides must be a refutation with a replayable
+  // counterexample that neither SAT nor BDD contradicts.
+  Rng rng(2525);
+  int refuted = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const unsigned width = 7 + static_cast<unsigned>(trial % 10);
+    const Netlist a = random_design(width, static_cast<unsigned>(rng.below(9)),
+                                    trial % 3 == 0, rng);
+    const Netlist b = retimed_or_mutated(a, trial % 2 == 1, rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " width " +
+                 std::to_string(width));
+    const ClsEquivalenceResult r =
+        verify_cls_equivalence(a, b, portfolio_options());
+    if (r.decided_by != EquivalenceBackend::kExplicit) continue;
+    ++refuted;
+    EXPECT_TRUE(decided_by_sampling(r)) << r.decided_reason;
+    EXPECT_TRUE(r.decided_reason.ends_with(" found a counterexample"))
+        << r.decided_reason;
+    EXPECT_EQ(r.verdict, Verdict::kProven) << r.summary();
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_FALSE(r.equivalent) << r.summary();
+    ASSERT_TRUE(r.counterexample.has_value()) << r.summary();
+    EXPECT_FALSE(cls_outputs_match(a, b, *r.counterexample));
+    for (const EquivalenceBackend engine :
+         {EquivalenceBackend::kSat, EquivalenceBackend::kBdd}) {
+      const ClsEquivalenceResult e = run_backend(engine, a, b, nullptr, false);
+      EXPECT_FALSE(e.verdict == Verdict::kProven && e.equivalent)
+          << to_string(engine) << ": " << e.summary();
+    }
+  }
+  // The mutants must supply real refutations, or this checks nothing.
+  EXPECT_GT(refuted, 25);
+}
+
+TEST(StagedPortfolio, WideEquivalentPairsStillReachTheRace) {
+  // Retimed wide pairs: sampling sees no difference, so the race decides,
+  // and the report counts the stage's 16 sampled cycles on top of the
+  // winning engine's own steps.
+  Rng rng(2526);
+  for (int trial = 0; trial < 40; ++trial) {
+    const unsigned width = 7 + static_cast<unsigned>(trial % 10);
+    const Netlist a = random_design(width, static_cast<unsigned>(rng.below(9)),
+                                    trial % 3 == 0, rng);
+    const Netlist b = retimed_or_mutated(a, false, rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " width " +
+                 std::to_string(width));
+    ResourceBudget budget;
+    const ClsEquivalenceResult r =
+        verify_cls_equivalence(a, b, portfolio_options(), &budget);
+    ASSERT_EQ(r.verdict, Verdict::kProven) << r.summary();
+    EXPECT_TRUE(r.equivalent) << r.decided_reason;
+    ASSERT_TRUE(r.decided_by == EquivalenceBackend::kBdd ||
+                r.decided_by == EquivalenceBackend::kSat ||
+                r.decided_by == EquivalenceBackend::kStatic)
+        << to_string(r.decided_by) << ": " << r.decided_reason;
+    ResourceBudget alone;
+    const ClsEquivalenceResult winner =
+        run_backend(r.decided_by, a, b, &alone, false);
+    EXPECT_GE(r.usage.steps, winner.usage.steps + 16) << r.usage.summary();
+  }
+}
+
+TEST(StagedPortfolio, ATripInsideSamplingHandsThePairToTheRace) {
+  // On a wide mutant every checkpoint of an untripped run is one of the
+  // sampler's cycles. Tripping any of them must leave the stage without a
+  // verdict: the race decides, or the report is honestly undecided.
+  Rng rng(2527);
+  int swept = 0;
+  for (int trial = 0; trial < 60 && swept < 5; ++trial) {
+    const unsigned width = 7 + static_cast<unsigned>(trial % 10);
+    const Netlist a = random_design(width, static_cast<unsigned>(rng.below(9)),
+                                    trial % 3 == 0, rng);
+    const Netlist b = retimed_or_mutated(a, true, rng);
+    fault_inject::arm(std::uint64_t{1} << 62);
+    ClsEquivalenceResult untripped;
+    {
+      ResourceBudget budget;
+      untripped = verify_cls_equivalence(a, b, portfolio_options(), &budget);
+    }
+    const std::uint64_t total = fault_inject::checkpoints_passed();
+    fault_inject::disarm();
+    if (!decided_by_sampling(untripped)) continue;
+    ++swept;
+    ASSERT_EQ(total, untripped.sampled_cycles);
+    for (std::uint64_t trip = 1; trip <= total; ++trip) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " trip " +
+                   std::to_string(trip));
+      fault_inject::arm(trip);
+      ResourceBudget budget;
+      const ClsEquivalenceResult r =
+          verify_cls_equivalence(a, b, portfolio_options(), &budget);
+      fault_inject::disarm();
+      EXPECT_NE(r.decided_by, EquivalenceBackend::kExplicit)
+          << r.decided_reason;
+      EXPECT_FALSE(r.verdict == Verdict::kProven && r.equivalent)
+          << r.summary();
+      if (r.counterexample) {
+        EXPECT_FALSE(cls_outputs_match(a, b, *r.counterexample));
+      }
+    }
+  }
+  EXPECT_EQ(swept, 5);
+}
+
 }  // namespace
 }  // namespace rtv

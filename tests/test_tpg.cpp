@@ -8,6 +8,7 @@
 #include "gen/datapath.hpp"
 #include "gen/iscas.hpp"
 #include "gen/paper_circuits.hpp"
+#include "gen/random_circuits.hpp"
 #include "gen/shift.hpp"
 #include "retime/graph.hpp"
 #include "retime/min_area.hpp"
@@ -71,6 +72,50 @@ TEST(Tpg, GradeMatchesGeneration) {
   const TestSet set = generate_tests(n);
   const TestSet regraded = grade_tests(n, set.faults, set.tests, 0);
   EXPECT_EQ(regraded.num_detected, set.num_detected);
+}
+
+TEST(Tpg, GradeTestsDelayedMatchesPerPairOracle) {
+  // Delayed grading shares the fault-free state set and good responses
+  // across faults; the result must be exactly the per-(fault, test) loop
+  // over test_detects_delayed, first detecting test included.
+  Rng rng(4646);
+  std::size_t detected = 0, missed = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    RandomCircuitOptions opt;
+    opt.num_inputs = 1 + static_cast<unsigned>(rng.below(3));
+    opt.num_gates = 4 + static_cast<unsigned>(rng.below(8));
+    opt.num_latches = 1 + static_cast<unsigned>(rng.below(4));
+    opt.table_probability = trial % 3 == 0 ? 0.3 : 0.0;
+    const Netlist n = random_netlist(opt, rng);
+    const unsigned delay = 1 + static_cast<unsigned>(trial % 3);
+    std::vector<BitsSeq> tests(1 + rng.below(4));
+    for (BitsSeq& test : tests) {
+      for (std::uint64_t t = 0, len = 2 + rng.below(5); t < len; ++t) {
+        Bits in(opt.num_inputs);
+        for (auto& v : in) v = rng.coin();
+        test.push_back(in);
+      }
+    }
+    const std::vector<Fault> faults = collapse_faults(n);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const TestSet set = grade_tests(n, faults, tests, delay);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      int first = -1;
+      if (!n.sinks(faults[i].site).empty()) {
+        for (std::size_t t = 0; t < tests.size() && first < 0; ++t) {
+          if (test_detects_delayed(n, faults[i], tests[t], delay)) {
+            first = static_cast<int>(t);
+          }
+        }
+      }
+      EXPECT_EQ(set.detected_by[i], first) << describe(n, faults[i]);
+      EXPECT_EQ(set.detected[i], first >= 0);
+      ++(first >= 0 ? detected : missed);
+    }
+  }
+  // Both outcomes must occur, or the comparison is vacuous.
+  EXPECT_GT(detected, 100u);
+  EXPECT_GT(missed, 100u);
 }
 
 TEST(Tpg, Theorem46EndToEnd) {
