@@ -121,9 +121,9 @@ LoadPoint run_load_point(const std::string& socket_path,
       std::thread sender([&] {
         auto next = Clock::now();
         for (std::uint64_t j = 0; j < per_client; ++j) {
-          const std::string id =
-              "m" + std::to_string(static_cast<int>(multiple * 100)) + "-c" +
-              std::to_string(c) + "-" + std::to_string(j);
+          const std::string sender_id = indexed_name(
+              indexed_name("m", static_cast<int>(multiple * 100)) + "-c", c);
+          const std::string id = indexed_name(sender_id + "-", j);
           {
             std::lock_guard<std::mutex> lk(merge_mutex);
             sent_at.emplace(id, Clock::now());

@@ -143,8 +143,7 @@ SweepPoint run_sweep_point(const std::string& socket_path,
       latencies.reserve(jobs_per_client);
       for (unsigned i = 0; i < jobs_per_client; ++i) {
         const JobKind& kind = mix[(c + i) % mix.size()];
-        const std::string id =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+        const std::string id = indexed_name(indexed_name("c", c) + "-", i);
         const auto start = Clock::now();
         client.send_line(frame_for(kind, id, design_json));
         const std::string line = client.recv_line();
@@ -353,7 +352,7 @@ void BM_handle_line_lint(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.handle_line(frame_for(
-        JobKind{"lint", ""}, "b" + std::to_string(i++), design_json)));
+        JobKind{"lint", ""}, indexed_name("b", i++), design_json)));
   }
 }
 BENCHMARK(BM_handle_line_lint);
@@ -370,7 +369,7 @@ void BM_handle_line_simulate(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(server.handle_line(frame_for(
-        JobKind{"simulate", opts}, "b" + std::to_string(i++), design_json)));
+        JobKind{"simulate", opts}, indexed_name("b", i++), design_json)));
   }
 }
 BENCHMARK(BM_handle_line_simulate);

@@ -69,9 +69,11 @@ std::string ClsEquivalenceResult::summary() const {
        << work_text(*this) << ")";
     return os.str();
   }
+  // A refutation rests on its counterexample, however exhaustive the search.
   os << (equivalent ? "CLS-equivalent" : "CLS-DISTINGUISHABLE") << " ("
-     << (exhaustive ? "exhaustive proof" : "bounded check") << ", "
-     << work_text(*this) << ")";
+     << (!equivalent && counterexample ? "counterexample found"
+         : exhaustive ? "exhaustive proof" : "bounded check")
+     << ", " << work_text(*this) << ")";
   if (counterexample) {
     os << " counterexample inputs: " << sequence_to_string(*counterexample);
   }

@@ -83,11 +83,20 @@ TestSet grade_tests(const Netlist& netlist, const std::vector<Fault>& faults,
   set.detected.assign(faults.size(), false);
   set.detected_by.assign(faults.size(), -1);
   set.tests = tests;
-  // Delayed grading reads the fault-free state set, and each test's good
-  // response, once per call, and each faulty design's state set once per
-  // fault, not an STG extraction pair per (fault, test).
+  // Grading reads each test's good response once per call, and each
+  // faulty design (with a delay, its state set too) once per fault, not a
+  // design pair per (fault, test).
   std::optional<std::vector<std::uint64_t>> good_states;
   std::vector<std::optional<TritsSeq>> good(tests.size());
+  // Test t's exact response from every power-up state, or with a delay
+  // from the states it leaves (`states`, filled on first use).
+  const auto response = [&](const Netlist& n,
+                            std::optional<std::vector<std::uint64_t>>& states,
+                            std::size_t t) {
+    if (delay_cycles == 0) return exact_response(n, tests[t]);
+    if (!states) states = delayed_state_set(n, delay_cycles);
+    return exact_response_from(n, *states, tests[t]);
+  };
   for (std::size_t i = 0; i < faults.size(); ++i) {
     // Skip faults whose site died in the graded design (e.g. swept logic).
     if (faults[i].site.node.value >= netlist.num_slots() ||
@@ -96,19 +105,12 @@ TestSet grade_tests(const Netlist& netlist, const std::vector<Fault>& faults,
       continue;
     }
     std::optional<Netlist> faulty;
-    std::vector<std::uint64_t> faulty_states;
+    std::optional<std::vector<std::uint64_t>> faulty_states;
     const auto detects = [&](std::size_t t) {
-      if (delay_cycles == 0) return test_detects(netlist, faults[i], tests[t]);
-      if (!good_states) good_states = delayed_state_set(netlist, delay_cycles);
-      if (!good[t]) {
-        good[t] = exact_response_from(netlist, *good_states, tests[t]);
-      }
-      if (!faulty) {
-        faulty = inject_fault(netlist, faults[i]);
-        faulty_states = delayed_state_set(*faulty, delay_cycles);
-      }
-      return responses_distinguish(
-          *good[t], exact_response_from(*faulty, faulty_states, tests[t]));
+      if (!good[t]) good[t] = response(netlist, good_states, t);
+      if (!faulty) faulty = inject_fault(netlist, faults[i]);
+      return responses_distinguish(*good[t],
+                                   response(*faulty, faulty_states, t));
     };
     for (std::size_t t = 0; t < tests.size(); ++t) {
       if (detects(t)) {

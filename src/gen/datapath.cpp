@@ -66,8 +66,8 @@ Netlist pipelined_adder(unsigned bits, unsigned stages) {
   Netlist n;
   PipelineBuilder pb(n);
   std::vector<PipelineBuilder::Signal> a(bits), b(bits), sum(bits + 1);
-  for (unsigned i = 0; i < bits; ++i) a[i] = pb.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) b[i] = pb.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = pb.input(indexed_name("a", i));
+  for (unsigned i = 0; i < bits; ++i) b[i] = pb.input(indexed_name("b", i));
 
   const unsigned bits_per_stage = (bits + stages - 1) / stages;
   PipelineBuilder::Signal carry = pb.constant(false);
@@ -85,7 +85,7 @@ Netlist pipelined_adder(unsigned bits, unsigned stages) {
 
   const unsigned final_depth = pb.max_depth();
   for (unsigned i = 0; i <= bits; ++i) {
-    pb.output("s" + std::to_string(i), pb.pad_to(sum[i], final_depth));
+    pb.output(indexed_name("s", i), pb.pad_to(sum[i], final_depth));
   }
   n.junctionize();
   n.check_valid(/*require_junction_normal=*/true);
@@ -99,8 +99,8 @@ Netlist pipelined_multiplier(unsigned bits, unsigned rows_per_stage) {
   PipelineBuilder pb(n);
   using Signal = PipelineBuilder::Signal;
   std::vector<Signal> a(bits), b(bits);
-  for (unsigned i = 0; i < bits; ++i) a[i] = pb.input("a" + std::to_string(i));
-  for (unsigned i = 0; i < bits; ++i) b[i] = pb.input("b" + std::to_string(i));
+  for (unsigned i = 0; i < bits; ++i) a[i] = pb.input(indexed_name("a", i));
+  for (unsigned i = 0; i < bits; ++i) b[i] = pb.input(indexed_name("b", i));
 
   // Per-column operand lists (Wallace-style): dump each row's partial
   // products into their weight columns, inserting a register boundary
@@ -144,7 +144,7 @@ Netlist pipelined_multiplier(unsigned bits, unsigned rows_per_stage) {
   }
   const unsigned final_depth = pb.max_depth();
   for (unsigned i = 0; i < 2 * bits; ++i) {
-    pb.output("p" + std::to_string(i), pb.pad_to(sums[i], final_depth));
+    pb.output(indexed_name("p", i), pb.pad_to(sums[i], final_depth));
   }
   // Everything above bit 2*bits-1 is logically 0 but must not dangle.
   Signal overflow = carry;
@@ -163,7 +163,7 @@ Netlist controller_datapath(unsigned width) {
   const NodeId rst = n.add_input("rst");
   std::vector<NodeId> data(width);
   for (unsigned i = 0; i < width; ++i) {
-    data[i] = n.add_input("d" + std::to_string(i));
+    data[i] = n.add_input(indexed_name("d", i));
   }
   const NodeId valid_po = n.add_output("valid");
   const NodeId msb_po = n.add_output("acc_msb");
@@ -183,12 +183,12 @@ Netlist controller_datapath(unsigned width) {
   // the gate count linear while remaining sequentially interesting).
   NodeId prev_or;  // OR over accumulated bits feeds the MSB output mix
   for (unsigned i = 0; i < width; ++i) {
-    const NodeId acc = n.add_latch("acc" + std::to_string(i));
-    const NodeId x = n.add_gate(CellKind::kXor, 2, "mix" + std::to_string(i));
+    const NodeId acc = n.add_latch(indexed_name("acc", i));
+    const NodeId x = n.add_gate(CellKind::kXor, 2, indexed_name("mix", i));
     const NodeId gate_clr =
-        n.add_gate(CellKind::kAnd, 2, "clr" + std::to_string(i));
+        n.add_gate(CellKind::kAnd, 2, indexed_name("clr", i));
     const NodeId ninv =
-        n.add_gate(CellKind::kNot, 0, "nclr" + std::to_string(i));
+        n.add_gate(CellKind::kNot, 0, indexed_name("nclr", i));
     n.connect(PortRef(acc, 0), PinRef(x, 0));
     n.connect(PortRef(data[i], 0), PinRef(x, 1));
     n.connect(PortRef(rst, 0), PinRef(ninv, 0));
@@ -198,7 +198,7 @@ Netlist controller_datapath(unsigned width) {
     if (i == 0) {
       prev_or = acc;
     } else {
-      const NodeId o = n.add_gate(CellKind::kOr, 2, "red" + std::to_string(i));
+      const NodeId o = n.add_gate(CellKind::kOr, 2, indexed_name("red", i));
       n.connect(PortRef(prev_or, 0), PinRef(o, 0));
       n.connect(PortRef(acc, 0), PinRef(o, 1));
       prev_or = o;

@@ -36,14 +36,14 @@ Netlist random_netlist(const RandomCircuitOptions& options, Rng& rng) {
   };
 
   for (unsigned i = 0; i < options.num_inputs; ++i) {
-    offer(n.add_input("pi" + std::to_string(i)));
+    offer(n.add_input(indexed_name("pi", i)));
   }
   // Latches first: their outputs join the pool so gates can depend on
   // state; their data inputs are wired at the end (any port is legal — a
   // latch breaks combinational cycles by definition).
   std::vector<NodeId> latches;
   for (unsigned i = 0; i < options.num_latches; ++i) {
-    const NodeId latch = n.add_latch("l" + std::to_string(i));
+    const NodeId latch = n.add_latch(indexed_name("l", i));
     latches.push_back(latch);
     offer(latch);
   }
@@ -54,12 +54,12 @@ Netlist random_netlist(const RandomCircuitOptions& options, Rng& rng) {
       const unsigned ins = 2 + static_cast<unsigned>(rng.below(2));   // 2..3
       const unsigned outs = 1 + static_cast<unsigned>(rng.below(2));  // 1..2
       const TableId t = n.add_table(TruthTable::random(ins, outs, rng));
-      id = n.add_table_cell(t, "t" + std::to_string(g));
+      id = n.add_table_cell(t, indexed_name("t", g));
     } else {
       const unsigned fanin =
           1 + static_cast<unsigned>(rng.below(options.max_fanin));
       id = n.add_gate(pick_gate_kind(fanin, rng), fanin,
-                      "g" + std::to_string(g));
+                      indexed_name("g", g));
     }
     for (std::uint32_t pin = 0; pin < n.num_pins(id); ++pin) {
       n.connect(pool[rng.index(pool.size())], PinRef(id, pin));
@@ -85,7 +85,7 @@ Netlist random_netlist(const RandomCircuitOptions& options, Rng& rng) {
 
   // Primary outputs sample the pool.
   for (unsigned i = 0; i < options.num_outputs; ++i) {
-    const NodeId po = n.add_output("po" + std::to_string(i));
+    const NodeId po = n.add_output(indexed_name("po", i));
     n.connect(pool[rng.index(pool.size())], PinRef(po, 0));
   }
 

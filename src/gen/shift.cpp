@@ -13,7 +13,7 @@ Netlist shift_register(unsigned length) {
   const NodeId out = n.add_output("so");
   PortRef prev(in, 0);
   for (unsigned i = 0; i < length; ++i) {
-    const NodeId latch = n.add_latch("r" + std::to_string(i));
+    const NodeId latch = n.add_latch(indexed_name("r", i));
     n.connect(prev, PinRef(latch, 0));
     prev = PortRef(latch, 0);
   }
@@ -38,7 +38,7 @@ Netlist lfsr(unsigned length, const std::vector<unsigned>& taps) {
   std::vector<NodeId> latches;
   PortRef prev(fb, 0);
   for (unsigned i = 0; i < length; ++i) {
-    const NodeId latch = n.add_latch("r" + std::to_string(i));
+    const NodeId latch = n.add_latch(indexed_name("r", i));
     n.connect(prev, PinRef(latch, 0));
     latches.push_back(latch);
     prev = PortRef(latch, 0);
@@ -66,7 +66,7 @@ Netlist twisted_ring(unsigned length) {
   PortRef prev(fb, 0);
   NodeId last;
   for (unsigned i = 0; i < length; ++i) {
-    last = n.add_latch("r" + std::to_string(i));
+    last = n.add_latch(indexed_name("r", i));
     n.connect(prev, PinRef(last, 0));
     prev = PortRef(last, 0);
   }

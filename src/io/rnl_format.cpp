@@ -25,7 +25,7 @@ std::string write_rnl(const Netlist& netlist) {
     if (n.kind(id) != CellKind::kTable) continue;
     const TableId t = n.node(id).table;
     if (table_names.count(t.value) != 0) continue;
-    const std::string name = "t" + std::to_string(table_names.size());
+    const std::string name = indexed_name("t", table_names.size());
     table_names.emplace(t.value, name);
     const TruthTable& tt = n.table(t);
     os << "table " << name << " " << tt.num_inputs() << " "

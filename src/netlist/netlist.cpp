@@ -27,6 +27,10 @@ bool has_fresh_shape(const std::string& name) {
 
 }  // namespace
 
+std::string indexed_name(std::string prefix, std::uint64_t index) {
+  return prefix.append(std::to_string(index));
+}
+
 std::string Netlist::fresh_name(const char* prefix) {
   // Explicitly named nodes added since the last call (the first time, all
   // of a parsed design's nodes) are checked here, not as they are added,

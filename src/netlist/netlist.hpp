@@ -298,4 +298,8 @@ std::vector<std::vector<NodeId>> combinational_sccs(const Netlist& netlist);
 /// false; tolerates structurally broken netlists.
 std::vector<bool> observable_mask(const Netlist& netlist);
 
+/// `prefix`, then `index` in decimal ("r", 3 -> "r3"), built without the
+/// inlined insert of "r" + std::to_string(3) that GCC 12 -O3 warns about.
+std::string indexed_name(std::string prefix, std::uint64_t index);
+
 }  // namespace rtv

@@ -7,7 +7,6 @@
 // extracted machines this library handles.
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "stg/refine.hpp"
 #include "stg/stg.hpp"
@@ -21,12 +20,12 @@ std::vector<std::uint32_t> equivalence_classes(const Stg& stg,
   // Initial split by output rows.
   const std::uint64_t ni = stg.num_inputs();
   std::vector<std::uint32_t> cls(stg.num_states());
-  std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, WordsHash> ids;
+  IdSet rows;  // of states, one per distinct output row
+  std::uint32_t k = 0;
   for (std::uint64_t s = 0; s < cls.size(); ++s) {
-    const std::uint64_t* row = stg.output_row(s);
-    cls[s] = ids.try_emplace(std::vector<std::uint64_t>(row, row + ni),
-                             static_cast<std::uint32_t>(ids.size()))
-                 .first->second;
+    const auto t = rows.intern_words(stg.output_row(s), ni, stg.output_row(0),
+                                     static_cast<std::uint32_t>(s));
+    cls[s] = t == s ? k++ : cls[t];
   }
   return refine_partition(std::move(cls), stg.next_row(0), ni, budget);
 }

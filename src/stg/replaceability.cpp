@@ -14,8 +14,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
+#include "stg/refine.hpp"
 #include "stg/stg.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
@@ -52,18 +52,12 @@ bool find_safe_replacement_violation(const Stg& c, const Stg& d,
   std::vector<std::uint64_t> arena;
   std::vector<std::uint32_t> parent;
   std::vector<std::uint64_t> via;
-  const auto hash = [&](std::uint32_t i) {
-    return hash_words(arena.data() + i * stride, stride);
-  };
-  const auto equal = [&](std::uint32_t x, std::uint32_t y) {
-    return std::equal(arena.begin() + x * stride, arena.begin() + (x + 1) * stride,
-                      arena.begin() + y * stride);
-  };
-  std::unordered_set<std::uint32_t, decltype(hash), decltype(equal)> visited(
-      0, hash, equal);
+  IdSet visited;
   // Keeps the candidate pair at the arena's tail if it is new.
   const auto intern = [&](std::uint32_t from, std::uint64_t a) {
-    if (visited.insert(static_cast<std::uint32_t>(parent.size())).second) {
+    const auto id = static_cast<std::uint32_t>(parent.size());
+    if (visited.intern_words(arena.data() + id * stride, stride, arena.data(),
+                             id) == id) {
       parent.push_back(from);
       via.push_back(a);
     } else {

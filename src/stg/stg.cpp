@@ -1,9 +1,8 @@
 #include "stg/stg.hpp"
 
 #include <algorithm>
-#include <array>
+#include <memory>
 #include <sstream>
-#include <unordered_map>
 
 #include "sim/packed_sim.hpp"
 #include "stg/refine.hpp"
@@ -44,32 +43,28 @@ constexpr std::uint64_t kLaneBit[6] = {
     0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
 
-/// Byte-spread table: kSpread[b][h] holds bit k of byte b in the low bit of
-/// 16-bit lane k - 4h.
-constexpr auto kSpread = [] {
-  std::array<std::array<std::uint64_t, 2>, 256> t{};
-  for (unsigned b = 0; b < 256; ++b) {
-    for (unsigned k = 0; k < 8; ++k) {
-      if (((b >> k) & 1) != 0) t[b][k / 4] |= 1ULL << (16 * (k % 4));
-    }
-  }
-  return t;
-}();
-
 /// Transposes `count` <= 16 bit-planes (plane i holds bit i of 64 lanes)
-/// into one 16-bit value per lane.
+/// into one 16-bit value per lane. The planes form a 16x64 bit matrix, four
+/// 16x16 blocks side by side (block q holds lanes 16q..16q+15); the delta
+/// swap for s exchanges row bit s with column bit s in all four at once.
 void transpose16(const std::uint64_t* planes, unsigned count,
                  std::uint16_t out[64]) {
-  for (unsigned c = 0; c < 8; ++c) {  // lanes 8c .. 8c+7
-    std::uint64_t lo = 0, hi = 0;
-    for (unsigned i = 0; i < count; ++i) {
-      const auto& spread = kSpread[(planes[i] >> (8 * c)) & 0xff];
-      lo |= spread[0] << i;
-      hi |= spread[1] << i;
+  constexpr std::uint64_t kKeep[4] = {
+      0x00FF00FF00FF00FFULL, 0x0F0F0F0F0F0F0F0FULL, 0x3333333333333333ULL,
+      0x5555555555555555ULL};  // columns without bit s, s = 8, 4, 2, 1
+  std::uint64_t r[16] = {};
+  std::copy_n(planes, count, r);
+  for (unsigned k = 0, s = 8; s != 0; ++k, s /= 2) {
+    for (unsigned i = 0; i < 16; ++i) {
+      if ((i & s) != 0) continue;
+      const std::uint64_t t = ((r[i] >> s) ^ r[i + s]) & kKeep[k];
+      r[i + s] ^= t;
+      r[i] ^= t << s;
     }
-    for (unsigned k = 0; k < 4; ++k) {
-      out[8 * c + k] = static_cast<std::uint16_t>(lo >> (16 * k));
-      out[8 * c + 4 + k] = static_cast<std::uint16_t>(hi >> (16 * k));
+  }
+  for (unsigned q = 0; q < 4; ++q) {
+    for (unsigned j = 0; j < 16; ++j) {
+      out[16 * q + j] = static_cast<std::uint16_t>(r[j] >> (16 * q));
     }
   }
 }
@@ -187,45 +182,48 @@ Stg Stg::extract_minimized(const Netlist& netlist, std::uint64_t entry_cap,
                         std::to_string(shape.latches) + " latches exceed 16");
   }
   const std::uint64_t ni = shape.inputs;
-  // A state's output row, keyed as it leaves the sweep: per 64-input word
-  // of the row, one plane per output, cut to the row's own ni bits where
-  // several states share a word.
+  // A state's output row, interned as it leaves the sweep: per 64-input
+  // word of the row, one plane per output, cut to the row's own ni bits
+  // where several states share a word.
   const std::uint64_t row_words = std::max<std::uint64_t>(ni / 64, 1);
   const std::uint64_t per_word = std::max<std::uint64_t>(64 / ni, 1);
   const std::uint64_t row_mask = low_mask(static_cast<unsigned>(64 / per_word));
-  std::vector<std::uint16_t> next;
-  next.reserve(shape.states * ni);
+  const std::size_t row_size = row_words * shape.outputs;
+  // Every sweep word transposes 64 lanes in place, tiny machines included.
+  const auto next = std::make_unique_for_overwrite<std::uint16_t[]>(
+      std::max<std::uint64_t>(shape.states * ni, 64));
   std::vector<std::uint32_t> initial(shape.states);
-  std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, WordsHash> ids;
-  std::vector<const std::vector<std::uint64_t>*> rows;  // per initial class
-  std::vector<std::uint64_t> key(row_words * shape.outputs);
+  // The distinct rows, row r at r * row_size, then the row being filled.
+  std::vector<std::uint64_t> rows(row_size);
+  std::uint32_t num_rows = 0;
+  IdSet ids;
   packed_sweep(
       netlist, shape, budget,
       [&](std::uint64_t w, const std::uint64_t* next_planes,
           const std::uint64_t* out_planes) {
-        std::uint16_t t[64];
-        transpose16(next_planes, shape.latches, t);
-        next.insert(next.end(), t, t + shape.lanes);
+        transpose16(next_planes, shape.latches, next.get() + 64 * w);
         const std::uint64_t j = w % row_words;
         for (std::uint64_t k = 0, s = w / row_words * per_word;
              k < per_word && s < shape.states; ++k, ++s) {
+          std::uint64_t* key = rows.data() + num_rows * row_size;
           for (unsigned o = 0; o < shape.outputs; ++o) {
             key[j * shape.outputs + o] = (out_planes[o] >> (k * ni)) & row_mask;
           }
           if (j + 1 < row_words) continue;
-          const auto [it, inserted] =
-              ids.try_emplace(key, static_cast<std::uint32_t>(rows.size()));
-          if (inserted) rows.push_back(&it->first);
-          initial[s] = it->second;
+          initial[s] = ids.intern_words(key, row_size, rows.data(), num_rows);
+          if (initial[s] == num_rows) {
+            ++num_rows;
+            rows.resize(rows.size() + row_size);
+          }
         }
       });
   return quotient_machine(
-      refine_partition(initial, next.data(), ni, budget), next.data(), ni,
+      refine_partition(initial, next.get(), ni, budget), next.get(), ni,
       shape.outputs, [&](std::uint64_t s, std::uint64_t* out) {
-        const std::vector<std::uint64_t>& row = *rows[initial[s]];
+        const std::uint64_t* row = rows.data() + initial[s] * row_size;
         for (std::uint64_t j = 0; j < row_words; ++j) {
           std::uint64_t o[64];
-          transpose(row.data() + j * shape.outputs, shape.outputs, o);
+          transpose(row + j * shape.outputs, shape.outputs, o);
           std::copy_n(o, std::min<std::uint64_t>(ni, 64), out + j * 64);
         }
       });

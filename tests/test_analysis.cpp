@@ -503,7 +503,9 @@ TEST(Json, RejectsMalformedDocuments) {
 
 TEST(Json, EscapeRoundTripsThroughParser) {
   const std::string nasty = "a\"b\\c\nd\te\x01 ⊑";
-  EXPECT_EQ(parse_json("\"" + json_escape(nasty) + "\"").as_string(), nasty);
+  const std::string quoted =
+      std::string("\"").append(json_escape(nasty)).append("\"");
+  EXPECT_EQ(parse_json(quoted).as_string(), nasty);
 }
 
 }  // namespace

@@ -188,6 +188,10 @@ TEST(BackendCrosscheck, AllBackendsFindReplayableCounterexamples) {
     ASSERT_TRUE(r.counterexample.has_value());
     // Every backend's witness must replay on the concrete CLS simulators.
     EXPECT_FALSE(cls_outputs_match(a, b, *r.counterexample));
+    // And the report names it as the evidence, not a proof or a bound.
+    EXPECT_TRUE(r.summary().starts_with(
+        "CLS-DISTINGUISHABLE (counterexample found, "))
+        << r.summary();
   }
 }
 
@@ -776,6 +780,9 @@ TEST(StagedPortfolio, RefutesWidePairsBySampling) {
     EXPECT_TRUE(r.exhaustive);
     EXPECT_FALSE(r.equivalent) << r.summary();
     ASSERT_TRUE(r.counterexample.has_value()) << r.summary();
+    EXPECT_NE(r.summary().find("(counterexample found, 64 random sequences"),
+              std::string::npos)
+        << r.summary();
     EXPECT_FALSE(cls_outputs_match(a, b, *r.counterexample));
     for (const EquivalenceBackend engine :
          {EquivalenceBackend::kSat, EquivalenceBackend::kBdd}) {

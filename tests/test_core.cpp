@@ -70,7 +70,7 @@ TEST(ClsEquiv, BoundedModeOnWideInputs) {
   Netlist a;
   std::vector<NodeId> ins;
   for (int i = 0; i < 13; ++i) {
-    ins.push_back(a.add_input("i" + std::to_string(i)));
+    ins.push_back(a.add_input(indexed_name("i", i)));
   }
   const NodeId g = a.add_gate(CellKind::kAnd, 13, "g");
   for (int i = 0; i < 13; ++i) a.connect(ins[i], g, i);

@@ -190,7 +190,7 @@ Netlist random_const_heavy(Rng& rng) {
     const CellKind kind = kinds[rng.below(6)];
     const unsigned arity = kind == CellKind::kNot ? 1 : 2;
     const NodeId g = n.add_gate(kind, kind == CellKind::kNot ? 0 : arity,
-                                "g" + std::to_string(i));
+                                indexed_name("g", i));
     for (unsigned pin = 0; pin < arity; ++pin) {
       n.connect(pick(), PinRef(g, pin));
     }
@@ -198,14 +198,14 @@ Netlist random_const_heavy(Rng& rng) {
     consumed.push_back(0);
   }
   for (int i = 0; i < 2; ++i) {
-    const NodeId latch = n.add_latch("L" + std::to_string(i));
+    const NodeId latch = n.add_latch(indexed_name("L", i));
     n.connect(pick(), PinRef(latch, 0));
     pool.emplace_back(latch, 0);
     consumed.push_back(0);
   }
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (consumed[i] != 0) continue;
-    const NodeId out = n.add_output("o" + std::to_string(i));
+    const NodeId out = n.add_output(indexed_name("o", i));
     n.connect(pool[i], PinRef(out, 0));
   }
   n.junctionize();

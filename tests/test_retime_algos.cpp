@@ -74,7 +74,7 @@ TEST(MinPeriod, RetimingFixesUnbalancedChain) {
   const NodeId o = n.add_output("o");
   NodeId prev = a;
   for (int i = 0; i < 3; ++i) {
-    const NodeId g = n.add_gate(CellKind::kNot, 0, "g" + std::to_string(i));
+    const NodeId g = n.add_gate(CellKind::kNot, 0, indexed_name("g", i));
     n.connect(prev, g);
     prev = g;
   }

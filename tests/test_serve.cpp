@@ -594,7 +594,7 @@ TEST(Server, TinyCacheEvictsButNeverCorruptsResults) {
       Rng fresh(100 + i);  // same designs in both rounds
       const std::string text = write_rnl(random_netlist(gen, fresh));
       const JsonValue doc = parse_response(server.handle_line(
-          frame("r" + std::to_string(round) + "-" + std::to_string(i),
+          frame(indexed_name(indexed_name("r", round) + "-", i),
                 "lint", design_field(text))));
       ASSERT_TRUE(response_ok(doc));
       // Content addressing survives eviction: the id is a pure function

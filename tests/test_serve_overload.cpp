@@ -537,7 +537,7 @@ TEST(ServeOverload, FloodAtFourTimesCapacityAnswersEveryFrameOnce) {
       LineClient client(harness.path());
       for (int j = 0; j < kJobsPerClient; ++j) {
         const std::string id =
-            "c" + std::to_string(c) + "-" + std::to_string(j);
+            indexed_name(indexed_name("c", c) + "-", j);
         client.send_line(spin_frame(id, 3, true));
       }
       for (int j = 0; j < kJobsPerClient; ++j) {

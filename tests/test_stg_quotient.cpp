@@ -4,11 +4,17 @@
 // Stg::extract_minimized must be the quotient of that table; and ⊑, ≼ and
 // the minimal-delay search must give the same answers on quotients as on
 // the raw machines (docs/algorithms.md, "Exact relations on Mealy
-// quotients") — validate_retiming decides them on quotients only.
+// quotients") — validate_retiming decides them on quotients only. The
+// refinement and ≼'s pair search are also checked against the vector- and
+// node-keyed versions they replaced, kept here as references.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/validator.hpp"
 #include "gen/datapath.hpp"
@@ -20,6 +26,7 @@
 #include "retime/min_period.hpp"
 #include "retime/sequencer.hpp"
 #include "sim/binary_sim.hpp"
+#include "stg/refine.hpp"
 #include "stg/stg.hpp"
 #include "test_helpers.hpp"
 #include "util/bits.hpp"
@@ -269,6 +276,324 @@ TEST(StgQuotient, ValidateDecidesPipelinedAdder42OnQuotients) {
     EXPECT_TRUE(v.safe_replacement);
     EXPECT_EQ(v.min_delay_implication, 0);
     EXPECT_EQ(v.verdict, Verdict::kProven);
+  }
+}
+
+// ---- the interning loops against the keyed tables they replaced ---------
+
+/// The vector-keyed Moore refinement refine_partition replaced: every
+/// round interns each state's full (|Σ|+1)-word signature into a fresh map.
+template <typename Next>
+std::vector<std::uint32_t> reference_refine_partition(
+    std::vector<std::uint32_t> cls, const Next* next, std::uint64_t ni,
+    ResourceBudget* budget) {
+  const std::uint64_t n = cls.size();
+  std::vector<std::uint32_t> next_cls(n);
+  std::vector<std::uint64_t> sig(ni + 1);
+  for (;;) {
+    if (budget != nullptr) budget->checkpoint_or_throw("stg/refine-iter");
+    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, WordsHash>
+        ids;
+    for (std::uint64_t s = 0; s < n; ++s) {
+      sig[0] = cls[s];
+      const Next* row = next + s * ni;
+      for (std::uint64_t a = 0; a < ni; ++a) sig[a + 1] = cls[row[a]];
+      const auto [it, inserted] =
+          ids.try_emplace(sig, static_cast<std::uint32_t>(ids.size()));
+      next_cls[s] = it->second;
+    }
+    if (next_cls == cls || ids.size() == num_classes(cls)) {
+      std::unordered_map<std::uint32_t, std::uint32_t> renumber;
+      for (std::uint64_t s = 0; s < n; ++s) {
+        const auto [it, ins] = renumber.emplace(
+            next_cls[s], static_cast<std::uint32_t>(renumber.size()));
+        next_cls[s] = it->second;
+      }
+      return next_cls;
+    }
+    std::swap(cls, next_cls);
+  }
+}
+
+/// Both refinements on one table, in both id widths when the states fit
+/// 16 bits: the same class vector and the same number of rounds (budget
+/// checkpoints). Returns the class count.
+std::uint32_t expect_refines_like_reference(
+    const std::vector<std::uint32_t>& initial,
+    const std::vector<std::uint32_t>& next, std::uint64_t ni,
+    const std::string& what) {
+  ResourceBudget want_budget(ResourceLimits{}), got_budget(ResourceLimits{});
+  const std::vector<std::uint32_t> want =
+      reference_refine_partition(initial, next.data(), ni, &want_budget);
+  EXPECT_EQ(refine_partition(initial, next.data(), ni, &got_budget), want)
+      << what << " (32-bit ids)";
+  EXPECT_EQ(got_budget.usage().steps, want_budget.usage().steps) << what;
+  if (initial.size() <= 0x10000) {
+    const std::vector<std::uint16_t> narrow(next.begin(), next.end());
+    EXPECT_EQ(refine_partition(initial, narrow.data(), ni, nullptr), want)
+        << what << " (16-bit ids)";
+  }
+  return num_classes(want);
+}
+
+/// Output-row classes of a raw machine, numbered by first occurrence.
+std::vector<std::uint32_t> output_row_classes(const Stg& stg) {
+  std::vector<std::uint32_t> cls(stg.num_states());
+  std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, WordsHash> ids;
+  for (std::uint64_t s = 0; s < cls.size(); ++s) {
+    const std::uint64_t* row = stg.output_row(s);
+    cls[s] = ids.try_emplace({row, row + stg.num_inputs()},
+                             static_cast<std::uint32_t>(ids.size()))
+                 .first->second;
+  }
+  return cls;
+}
+
+std::vector<std::uint32_t> next_table(const Stg& stg) {
+  const std::uint32_t* first = stg.next_row(0);
+  return {first, first + stg.num_states() * stg.num_inputs()};
+}
+
+TEST(StgQuotient, RefinePartitionMatchesTheKeyedReferenceOnSeededTables) {
+  Rng rng(26);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::uint64_t n = 1 + rng.below(trial % 4 == 0 ? 3000 : 60);
+    const std::uint64_t ni = 1 + rng.below(9);
+    // Few initial classes and few distinct targets make deep refinements.
+    const std::uint64_t k = 1 + rng.below(std::min<std::uint64_t>(n, 4));
+    const std::uint64_t reach = 1 + rng.below(n);
+    std::vector<std::uint32_t> next(n * ni), initial(n);
+    for (std::uint32_t& t : next) {
+      t = static_cast<std::uint32_t>(rng.below(reach));
+    }
+    // Dense ids in any order: refinement renumbers by first occurrence.
+    for (std::uint64_t s = 0; s < n; ++s) {
+      initial[s] =
+          static_cast<std::uint32_t>(s < k ? k - 1 - s : rng.below(k));
+    }
+    expect_refines_like_reference(initial, next, ni,
+                                  "trial " + std::to_string(trial));
+  }
+}
+
+TEST(StgQuotient, RefinePartitionMatchesTheKeyedReferenceOnShiftRegisters) {
+  // A shift register's output rows name one bit; each round names one more,
+  // so every round but the last splits, down to 2^n singleton classes.
+  for (unsigned n = 1; n <= 16; ++n) {
+    const Stg stg = Stg::extract(shift_register(n));
+    EXPECT_EQ(expect_refines_like_reference(output_row_classes(stg),
+                                            next_table(stg), stg.num_inputs(),
+                                            "shift" + std::to_string(n)),
+              pow2(n));
+  }
+}
+
+TEST(StgQuotient, RefinePartitionStopsAtOnceOnAStablePartition) {
+  // A permutation machine in one class, and the same machine with every
+  // state in its own class: neither ever splits.
+  Rng rng(7);
+  const std::uint64_t n = 500, ni = 3;
+  std::vector<std::uint32_t> next(n * ni);
+  for (std::uint64_t a = 0; a < ni; ++a) {
+    std::vector<std::uint32_t> perm(n);
+    for (std::uint64_t s = 0; s < n; ++s) {
+      perm[s] = static_cast<std::uint32_t>(s);
+    }
+    for (std::uint64_t s = n; s > 1; --s) {
+      std::swap(perm[s - 1], perm[rng.below(s)]);
+    }
+    for (std::uint64_t s = 0; s < n; ++s) next[s * ni + a] = perm[s];
+  }
+  std::vector<std::uint32_t> one(n, 0), singletons(n);
+  for (std::uint64_t s = 0; s < n; ++s) {
+    singletons[s] = static_cast<std::uint32_t>(n - 1 - s);
+  }
+  for (const auto& [initial, classes] :
+       {std::pair{one, 1u}, std::pair{singletons, 500u}}) {
+    ResourceBudget budget(ResourceLimits{});
+    EXPECT_EQ(num_classes(refine_partition(initial, next.data(), ni, &budget)),
+              classes);
+    EXPECT_EQ(budget.usage().steps, 1u);  // one round, no split
+    expect_refines_like_reference(initial, next, ni, "stable");
+  }
+}
+
+TEST(StgQuotient, IdSetSeparatesKeysThatCollideByHash) {
+  // Every key hashes alike, so only the equality callback tells them apart:
+  // each value interns once, in first-seen order, across growth.
+  std::vector<std::uint64_t> keys;
+  Rng rng(3);
+  for (int i = 0; i < 3000; ++i) keys.push_back(rng.below(700));
+  for (const std::uint64_t hash : {0ULL, 0x123456789ULL}) {
+    IdSet set;
+    std::vector<std::uint32_t> want, got;
+    std::unordered_map<std::uint64_t, std::uint32_t> reference;
+    for (std::uint32_t i = 0; i < keys.size(); ++i) {
+      want.push_back(reference.try_emplace(keys[i], i).first->second);
+      got.push_back(set.intern(hash, i, [&](std::uint32_t j) {
+        return keys[j] == keys[i];
+      }));
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(StgQuotient, IdSetComparesEveryWordOfACollidingKey) {
+  // Two rows that differ only in their last word and whose slot tags
+  // collide: only the word-by-word compare tells them apart.
+  std::unordered_map<std::uint32_t, std::uint64_t> seen;
+  std::vector<std::uint64_t> rows = {7, 0, 7, 0};
+  for (Rng rng(11);;) {  // a birthday search over random last words
+    const std::uint64_t v = rng.next();
+    rows[1] = v;
+    const auto [it, fresh] =
+        seen.try_emplace(IdSet::tag_of(hash_words(rows.data(), 2)), v);
+    if (!fresh) {
+      rows[1] = it->second;
+      rows[3] = v;
+      break;
+    }
+  }
+  IdSet set;
+  EXPECT_EQ(set.intern_words(rows.data(), 2, rows.data(), 0), 0u);
+  EXPECT_EQ(set.intern_words(rows.data() + 2, 2, rows.data(), 1), 1u);
+  EXPECT_EQ(set.intern_words(rows.data() + 2, 2, rows.data(), 2), 1u);
+}
+
+/// The node-keyed ≼ search find_safe_replacement_violation replaced: the
+/// same pair BFS with visited pairs in a std::unordered_set.
+bool reference_safe_replacement_violation(const Stg& c, const Stg& d,
+                                          SafeReplacementViolation* witness) {
+  const std::uint64_t nd = d.num_states();
+  const std::size_t set_words = words_for_bits(nd);
+  const std::size_t stride = 1 + set_words;
+  constexpr std::uint32_t kStart = 0xffffffffu;
+  std::vector<std::uint64_t> arena;
+  std::vector<std::uint32_t> parent;
+  std::vector<std::uint64_t> via;
+  const auto hash = [&](std::uint32_t i) {
+    return hash_words(arena.data() + i * stride, stride);
+  };
+  const auto equal = [&](std::uint32_t x, std::uint32_t y) {
+    return std::equal(arena.begin() + x * stride,
+                      arena.begin() + (x + 1) * stride,
+                      arena.begin() + y * stride);
+  };
+  std::unordered_set<std::uint32_t, decltype(hash), decltype(equal)> visited(
+      0, hash, equal);
+  const auto intern = [&](std::uint32_t from, std::uint64_t a) {
+    if (visited.insert(static_cast<std::uint32_t>(parent.size())).second) {
+      parent.push_back(from);
+      via.push_back(a);
+    } else {
+      arena.resize(arena.size() - stride);
+    }
+  };
+  for (std::uint64_t s1 = 0; s1 < c.num_states(); ++s1) {
+    arena.push_back(s1);
+    for (std::size_t w = 0; w < set_words; ++w) {
+      arena.push_back(low_mask(static_cast<unsigned>(
+          std::min<std::uint64_t>(nd - 64 * w, 64))));
+    }
+    intern(kStart, 0);
+  }
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t i = 0; i < parent.size(); ++i) {
+    const std::uint64_t* pair = arena.data() + i * stride;
+    const std::uint64_t* c_out = c.output_row(pair[0]);
+    const std::uint32_t* c_next = c.next_row(pair[0]);
+    members.clear();
+    for (std::size_t w = 0; w < set_words; ++w) {
+      for (std::uint64_t bits = pair[1 + w]; bits != 0; bits &= bits - 1) {
+        members.push_back(static_cast<std::uint32_t>(
+            64 * w + static_cast<unsigned>(std::countr_zero(bits))));
+      }
+    }
+    for (std::uint64_t a = 0; a < c.num_inputs(); ++a) {
+      const std::size_t tail = arena.size();
+      arena.resize(tail + stride, 0);
+      arena[tail] = c_next[a];
+      bool empty = true;
+      for (const std::uint32_t s0 : members) {
+        if (d.output_row(s0)[a] != c_out[a]) continue;
+        const std::uint32_t t = d.next_row(s0)[a];
+        arena[tail + 1 + t / 64] |= 1ULL << (t % 64);
+        empty = false;
+      }
+      if (empty) {
+        witness->inputs = {a};
+        std::uint32_t p = i;
+        for (; parent[p] != kStart; p = parent[p]) {
+          witness->inputs.push_back(via[p]);
+        }
+        std::reverse(witness->inputs.begin(), witness->inputs.end());
+        witness->c_start = static_cast<std::uint32_t>(arena[p * stride]);
+        return true;
+      }
+      intern(i, a);
+    }
+  }
+  return false;
+}
+
+/// ≼ and its witness against the node-keyed reference, one orientation.
+void expect_safe_replacement_like_reference(const Stg& c, const Stg& d,
+                                            const std::string& what,
+                                            std::size_t* violations) {
+  SafeReplacementViolation want, got;
+  const bool violated = reference_safe_replacement_violation(c, d, &want);
+  ASSERT_EQ(find_safe_replacement_violation(c, d, &got), violated) << what;
+  EXPECT_EQ(got.c_start, want.c_start) << what;
+  EXPECT_EQ(got.inputs, want.inputs) << what;
+  *violations += violated;
+}
+
+TEST(StgQuotient, SafeReplacementMatchesTheKeyedReferenceOnRetimedPairs) {
+  std::size_t checked = 0, violations = 0;
+  for (std::uint64_t seed = 1; checked < 300; ++seed) {
+    const auto [dn, cn] = retimed_pair(seed);
+    if (dn.latches().size() > 7 || cn.latches().size() > 7) continue;
+    ++checked;
+    const std::string what = "seed " + std::to_string(seed);
+    const Stg d = Stg::extract(dn), c = Stg::extract(cn);
+    expect_safe_replacement_like_reference(c, d, what + " C<=D", &violations);
+    expect_safe_replacement_like_reference(d, c, what + " D<=C", &violations);
+    const Stg dq = Stg::extract_minimized(dn), cq = Stg::extract_minimized(cn);
+    expect_safe_replacement_like_reference(cq, dq, what + " quotients",
+                                           &violations);
+  }
+  EXPECT_GT(violations, 0u);  // witnesses compared, not only verdicts
+}
+
+TEST(StgQuotient, ExtractionsMatchTheScalarOracleAtEveryLatchCount) {
+  // Latch counts 1..16 give the sweep's transpose every plane count, and
+  // extract_minimized must equal the raw quotient table for table, class
+  // numbering included.
+  for (unsigned latches = 1; latches <= 16; ++latches) {
+    Netlist n;
+    for (std::uint64_t seed = latches;; seed += 100) {
+      Rng rng(seed);
+      RandomCircuitOptions opt;
+      opt.num_inputs = 1 + latches % 2;
+      opt.num_outputs = 1 + latches % 3;
+      opt.num_latches = latches;
+      opt.num_gates = 6 + latches;
+      opt.latch_after_gate_probability = 0.0;
+      n = random_netlist(opt, rng);
+      if (n.latches().size() == latches) break;
+    }
+    const std::string what = std::to_string(latches) + " latches";
+    expect_matches_scalar(n, what);
+    const Stg raw = Stg::extract(n);
+    const Stg expected = quotient(raw, equivalence_classes(raw));
+    const Stg got = Stg::extract_minimized(n);
+    ASSERT_EQ(got.num_states(), expected.num_states()) << what;
+    for (std::uint64_t s = 0; s < got.num_states(); ++s) {
+      for (std::uint64_t a = 0; a < got.num_inputs(); ++a) {
+        ASSERT_EQ(got.next_state(s, a), expected.next_state(s, a)) << what;
+        ASSERT_EQ(got.output(s, a), expected.output(s, a)) << what;
+      }
+    }
   }
 }
 

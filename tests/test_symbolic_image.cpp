@@ -352,7 +352,7 @@ TEST(TableCells, MintermExpansionHonoursBudgetCheckpoints) {
   const NodeId cell = n.add_table_cell(tid, "parity");
   std::vector<NodeId> ins;
   for (unsigned p = 0; p < pins; ++p) {
-    ins.push_back(n.add_input("i" + std::to_string(p)));
+    ins.push_back(n.add_input(indexed_name("i", p)));
     n.connect(PortRef(ins.back(), 0), PinRef(cell, p));
   }
   const NodeId latch = n.add_latch("q");

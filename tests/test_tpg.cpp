@@ -118,6 +118,45 @@ TEST(Tpg, GradeTestsDelayedMatchesPerPairOracle) {
   EXPECT_GT(missed, 100u);
 }
 
+TEST(Tpg, GradeTestsWithoutDelayMatchesPerPairOracle) {
+  // Without a delay, grading shares each test's good response across
+  // faults; the result must be the per-(fault, test) test_detects loop.
+  Rng rng(4647);
+  std::size_t detected = 0, missed = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    RandomCircuitOptions opt;
+    opt.num_inputs = 1 + static_cast<unsigned>(rng.below(3));
+    opt.num_gates = 4 + static_cast<unsigned>(rng.below(8));
+    opt.num_latches = 1 + static_cast<unsigned>(rng.below(4));
+    opt.table_probability = trial % 3 == 0 ? 0.3 : 0.0;
+    const Netlist n = random_netlist(opt, rng);
+    std::vector<BitsSeq> tests(1 + rng.below(4));
+    for (BitsSeq& test : tests) {
+      for (std::uint64_t t = 0, len = 2 + rng.below(5); t < len; ++t) {
+        Bits in(opt.num_inputs);
+        for (auto& v : in) v = rng.coin();
+        test.push_back(in);
+      }
+    }
+    const std::vector<Fault> faults = collapse_faults(n);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const TestSet set = grade_tests(n, faults, tests, 0);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      int first = -1;
+      for (std::size_t t = 0; t < tests.size() && first < 0; ++t) {
+        if (!n.sinks(faults[i].site).empty() &&
+            test_detects(n, faults[i], tests[t])) {
+          first = static_cast<int>(t);
+        }
+      }
+      EXPECT_EQ(set.detected_by[i], first) << describe(n, faults[i]);
+      ++(first >= 0 ? detected : missed);
+    }
+  }
+  EXPECT_GT(detected, 50u);
+  EXPECT_GT(missed, 50u);
+}
+
 TEST(Tpg, Theorem46EndToEnd) {
   // Generate tests on D; retime min-area; grade the same tests on C and on
   // C^k. Coverage on C^k must not drop below coverage on D (Thm 4.6).
