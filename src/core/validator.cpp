@@ -72,10 +72,12 @@ RetimingValidation validate_retiming(const Netlist& original,
             Stg::extract_minimized(original, kDefaultStgEntryCap, &budget);
         const Stg c =
             Stg::extract_minimized(v.retimed, kDefaultStgEntryCap, &budget);
-        const bool implication = implies(c, d, &budget);
-        const bool safe_repl = safe_replacement(c, d, &budget);
+        // C ⊑ D is the minimal delay's n = 0, read off the same refinement;
+        // ≼ is decided on its own, so the Prop 3.1 check below is not vacuous.
         const int min_delay =
             min_delay_for_implication(c, d, options.max_delay_search, &budget);
+        const bool implication = min_delay == 0;
+        const bool safe_repl = safe_replacement(c, d, &budget);
         v.stg_checked = true;
         v.implication = implication;
         v.safe_replacement = safe_repl;

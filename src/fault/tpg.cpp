@@ -46,32 +46,32 @@ void finalize(TestSet& set) {
 }  // namespace
 
 TestSet generate_tests(const Netlist& netlist, const TpgOptions& options) {
-  TestSet set;
-  set.faults = collapse_faults(netlist);
-  set.detected.assign(set.faults.size(), false);
-  set.detected_by.assign(set.faults.size(), -1);
-
   Rng rng(options.seed);
   const unsigned inputs =
       static_cast<unsigned>(netlist.primary_inputs().size());
+  std::vector<BitsSeq> candidates;
   for (unsigned c = 0; c < options.max_candidates; ++c) {
-    if (set.num_detected == set.faults.size()) break;
-    const BitsSeq candidate = random_candidate(inputs, options, rng);
-    // Fault dropping: grade only the still-undetected faults.
-    bool kept = false;
-    for (std::size_t i = 0; i < set.faults.size(); ++i) {
-      if (set.detected[i]) continue;
-      if (!test_detects(netlist, set.faults[i], candidate)) continue;
-      if (!kept) {
-        set.tests.push_back(candidate);
-        kept = true;
-      }
-      set.detected[i] = true;
-      set.detected_by[i] = static_cast<int>(set.tests.size()) - 1;
-      ++set.num_detected;
-    }
+    candidates.push_back(random_candidate(inputs, options, rng));
   }
-  finalize(set);
+  // Fault dropping keeps a candidate iff it is the first to detect some
+  // fault, and that first detector is what grading the candidates in order
+  // finds: one good response per candidate and one faulty design per fault,
+  // not a design pair per (candidate, fault).
+  TestSet set =
+      grade_tests(netlist, collapse_faults(netlist), candidates, 0);
+  std::vector<int> kept(candidates.size(), -1);
+  for (const int c : set.detected_by) {
+    if (c >= 0) kept[static_cast<std::size_t>(c)] = 0;
+  }
+  set.tests.clear();
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    if (kept[c] < 0) continue;
+    kept[c] = static_cast<int>(set.tests.size());
+    set.tests.push_back(std::move(candidates[c]));
+  }
+  for (int& c : set.detected_by) {
+    if (c >= 0) c = kept[static_cast<std::size_t>(c)];
+  }
   return set;
 }
 

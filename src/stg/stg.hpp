@@ -138,6 +138,11 @@ bool essentially_resettable(const Stg& stg);
 /// some state of D. Requires compatible machines.
 bool implies(const Stg& c, const Stg& d, ResourceBudget* budget = nullptr);
 
+/// Per state of C: is it Mealy-equivalent to some state of D? (One
+/// refinement of C ⊎ D; implies() asks whether all are.)
+std::vector<bool> implied_states(const Stg& c, const Stg& d,
+                                 ResourceBudget* budget = nullptr);
+
 /// Safe replacement C ≼ D [PSAB94]: for every state s1 of C and every input
 /// sequence, some state s0 of D produces the same outputs on that sequence
 /// (s0 may depend on the sequence). Decided by a subset construction over
@@ -164,7 +169,8 @@ std::vector<bool> states_after_delay(const Stg& stg, unsigned cycles);
 /// The delayed design D^n as a machine (restriction to states_after_delay).
 Stg delayed_design(const Stg& stg, unsigned cycles);
 
-/// Smallest n <= max_cycles with delayed_design(c, n) ⊑ d, or -1 if none.
+/// Smallest n <= max_cycles with delayed_design(c, n) ⊑ d, or -1 if none
+/// (0 iff c ⊑ d). One refinement serves every n.
 int min_delay_for_implication(const Stg& c, const Stg& d, unsigned max_cycles,
                               ResourceBudget* budget = nullptr);
 

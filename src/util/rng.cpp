@@ -4,12 +4,6 @@
 
 namespace rtv {
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -26,30 +20,6 @@ Rng::Rng(std::uint64_t seed) {
   // seed never yields four zero words in a row, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) {
     s_[0] = 0x9e3779b97f4a7c15ULL;
-  }
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  RTV_REQUIRE(bound > 0, "Rng::below requires bound > 0");
-  // Rejection sampling on the top bits to avoid modulo bias.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= threshold) {
-      return r % bound;
-    }
   }
 }
 

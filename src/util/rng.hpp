@@ -6,8 +6,11 @@
 // reproducible. The generator is xoshiro256** (Blackman/Vigna), seeded
 // through SplitMix64 per the authors' recommendation.
 
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace rtv {
 
@@ -21,8 +24,19 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next();
+  /// Next raw 64-bit value. Inline, like below(): samplers draw one value
+  /// per simulated trit.
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// UniformRandomBitGenerator interface (usable with <random> adaptors).
   std::uint64_t operator()() { return next(); }
@@ -30,8 +44,16 @@ class Rng {
   static constexpr std::uint64_t max() { return ~0ULL; }
 
   /// Uniform integer in [0, bound). Requires bound > 0. Unbiased
-  /// (Lemire-style rejection).
-  std::uint64_t below(std::uint64_t bound);
+  /// (rejection on the low residues). Inline so that a constant bound folds
+  /// the two divisions away.
+  std::uint64_t below(std::uint64_t bound) {
+    RTV_REQUIRE(bound > 0, "Rng::below requires bound > 0");
+    const std::uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);

@@ -6,12 +6,15 @@
 // the raw machines (docs/algorithms.md, "Exact relations on Mealy
 // quotients") — validate_retiming decides them on quotients only. The
 // refinement and ≼'s pair search are also checked against the vector- and
-// node-keyed versions they replaced, kept here as references.
+// node-keyed versions they replaced, and the minimal delay against the
+// per-cycle loop it replaced, kept here as references.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,6 +25,7 @@
 #include "gen/paper_circuits.hpp"
 #include "gen/random_circuits.hpp"
 #include "gen/shift.hpp"
+#include "netlist/netlist.hpp"
 #include "retime/min_area.hpp"
 #include "retime/min_period.hpp"
 #include "retime/sequencer.hpp"
@@ -461,9 +465,11 @@ TEST(StgQuotient, IdSetComparesEveryWordOfACollidingKey) {
 }
 
 /// The node-keyed ≼ search find_safe_replacement_violation replaced: the
-/// same pair BFS with visited pairs in a std::unordered_set.
+/// same pair BFS over (C state, D set) with visited pairs in a
+/// std::unordered_set, every image built member by member for every pair.
 bool reference_safe_replacement_violation(const Stg& c, const Stg& d,
-                                          SafeReplacementViolation* witness) {
+                                          SafeReplacementViolation* witness,
+                                          ResourceBudget* budget = nullptr) {
   const std::uint64_t nd = d.num_states();
   const std::size_t set_words = words_for_bits(nd);
   const std::size_t stride = 1 + set_words;
@@ -499,6 +505,7 @@ bool reference_safe_replacement_violation(const Stg& c, const Stg& d,
   }
   std::vector<std::uint32_t> members;
   for (std::uint32_t i = 0; i < parent.size(); ++i) {
+    if (budget != nullptr) budget->checkpoint_or_throw("stg/subset-pair");
     const std::uint64_t* pair = arena.data() + i * stride;
     const std::uint64_t* c_out = c.output_row(pair[0]);
     const std::uint32_t* c_next = c.next_row(pair[0]);
@@ -536,16 +543,40 @@ bool reference_safe_replacement_violation(const Stg& c, const Stg& d,
   return false;
 }
 
-/// ≼ and its witness against the node-keyed reference, one orientation.
-void expect_safe_replacement_like_reference(const Stg& c, const Stg& d,
-                                            const std::string& what,
-                                            std::size_t* violations) {
+/// ≼ and its witness against the node-keyed reference, one orientation:
+/// the same verdict, the same witness and the same number of
+/// stg/subset-pair checkpoints. Returns that number.
+std::uint64_t expect_safe_replacement_like_reference(
+    const Stg& c, const Stg& d, const std::string& what,
+    std::size_t* violations) {
   SafeReplacementViolation want, got;
-  const bool violated = reference_safe_replacement_violation(c, d, &want);
-  ASSERT_EQ(find_safe_replacement_violation(c, d, &got), violated) << what;
+  ResourceBudget want_budget(ResourceLimits{}), got_budget(ResourceLimits{});
+  const bool violated =
+      reference_safe_replacement_violation(c, d, &want, &want_budget);
+  EXPECT_EQ(find_safe_replacement_violation(c, d, &got, &got_budget),
+            violated)
+      << what;
   EXPECT_EQ(got.c_start, want.c_start) << what;
   EXPECT_EQ(got.inputs, want.inputs) << what;
+  EXPECT_EQ(got_budget.usage().steps, want_budget.usage().steps) << what;
   *violations += violated;
+  return want_budget.usage().steps;
+}
+
+/// Whether ≼ runs out of a budget of `steps` checkpoints, and the answer
+/// when it does not.
+std::optional<bool> safe_replacement_within(auto search, const Stg& c,
+                                            const Stg& d,
+                                            std::uint64_t steps) {
+  ResourceLimits limits;
+  limits.step_quota = steps;
+  ResourceBudget budget(limits);
+  try {
+    SafeReplacementViolation witness;
+    return search(c, d, &witness, &budget);
+  } catch (const ResourceExhausted&) {
+    return std::nullopt;
+  }
 }
 
 TEST(StgQuotient, SafeReplacementMatchesTheKeyedReferenceOnRetimedPairs) {
@@ -563,6 +594,158 @@ TEST(StgQuotient, SafeReplacementMatchesTheKeyedReferenceOnRetimedPairs) {
                                            &violations);
   }
   EXPECT_GT(violations, 0u);  // witnesses compared, not only verdicts
+}
+
+/// The design with its output gated by its first latch (a one-gate
+/// mutant): AND(last, first) instead of last.
+Netlist first_latch_gated(Netlist n) {
+  const PinRef so(n.primary_outputs()[0], 0);
+  const PortRef last = n.driver(so);
+  n.disconnect(so);
+  const NodeId gate = n.add_gate(CellKind::kAnd, 2, "mutant");
+  n.connect(last, PinRef(gate, 0));
+  n.connect(PortRef(n.latches()[0], 0), PinRef(gate, 1));
+  n.connect(PortRef(gate, 0), so);
+  n.junctionize();
+  return n;
+}
+
+/// shift_register, lfsr and twisted_ring at `n` latches and their one-gate
+/// mutants, raw: a shift register's D sets halve each cycle, so most pairs
+/// carry a large set.
+std::vector<std::pair<std::string, Stg>> shift_family_machines(unsigned n) {
+  const std::vector<unsigned> taps =
+      n == 1 ? std::vector<unsigned>{0} : std::vector<unsigned>{0, n / 2};
+  const std::string k = std::to_string(n);
+  std::vector<std::pair<std::string, Stg>> out;
+  for (auto& [name, design] : {std::pair{"shift" + k, shift_register(n)},
+                               std::pair{"lfsr" + k, lfsr(n, taps)},
+                               std::pair{"ring" + k, twisted_ring(n)}}) {
+    out.emplace_back(name, Stg::extract(design));
+    out.emplace_back(name + "/mutant", Stg::extract(first_latch_gated(design)));
+  }
+  return out;
+}
+
+/// The (C, D) pairs of one shift_family_machines(n): each design against
+/// each design, itself included, and each design against its own mutant,
+/// both orientations.
+template <typename Check>
+void for_each_family_pair(unsigned n, Check check) {
+  const auto machines = shift_family_machines(n);
+  for (const auto& [c_name, c] : machines) {
+    for (const auto& [d_name, d] : machines) {
+      const bool designs = c_name.find('/') == std::string::npos &&
+                           d_name.find('/') == std::string::npos;
+      if (designs || c_name + "/mutant" == d_name ||
+          d_name + "/mutant" == c_name) {
+        check(c, d, c_name + " <= " + d_name);
+      }
+    }
+  }
+}
+
+TEST(StgQuotient, SafeReplacementMatchesTheKeyedReferenceOnShiftFamilies) {
+  // 18 searches at 8-10 latches run past the cap (a twisted ring against
+  // another family meets its violation only after ~2^(2n) pairs); there
+  // both searches must run out alike.
+  constexpr std::uint64_t kCap = 20000;
+  std::size_t compared = 0, capped = 0, violations = 0;
+  std::uint64_t most_pairs = 0;
+  for (unsigned n = 1; n <= 10; ++n) {
+    for_each_family_pair(n, [&](const Stg& c, const Stg& d,
+                                const std::string& what) {
+      ++compared;
+      if (!safe_replacement_within(reference_safe_replacement_violation, c, d,
+                                   kCap)) {
+        ++capped;
+        EXPECT_FALSE(safe_replacement_within(find_safe_replacement_violation,
+                                             c, d, kCap))
+            << what;
+        return;
+      }
+      most_pairs = std::max(most_pairs, expect_safe_replacement_like_reference(
+                                            c, d, what, &violations));
+    });
+  }
+  EXPECT_EQ(compared, 10u * 15u);
+  EXPECT_LT(capped, 20u);
+  // Both answers, and searches deep enough that large sets repeat.
+  EXPECT_GT(violations, 50u);
+  EXPECT_LT(violations, compared - capped - 30u);
+  EXPECT_GT(most_pairs, 10000u);
+}
+
+TEST(StgQuotient, SafeReplacementTripsABudgetAtTheReferencesPoint) {
+  // With a budget of k checkpoints the search runs out iff the reference
+  // does, for every k up to the reference's count: the same checkpoint
+  // sequence, not only the same total.
+  std::size_t swept = 0;
+  for (unsigned n = 1; n <= 5; ++n) {
+    for_each_family_pair(n, [&](const Stg& c, const Stg& d,
+                                const std::string& what) {
+      ++swept;
+      for (std::uint64_t k = 1;; ++k) {
+        const std::optional<bool> want = safe_replacement_within(
+            reference_safe_replacement_violation, c, d, k);
+        ASSERT_EQ(
+            safe_replacement_within(find_safe_replacement_violation, c, d, k),
+            want)
+            << what << " at " << k << " steps";
+        if (want) break;
+      }
+    });
+  }
+  EXPECT_EQ(swept, 5u * 15u);
+}
+
+/// The per-cycle loop min_delay_for_implication replaced: a delayed
+/// machine, a disjoint union and a full refinement for every n.
+int reference_min_delay_for_implication(const Stg& c, const Stg& d,
+                                        unsigned max_cycles) {
+  for (unsigned n = 0; n <= max_cycles; ++n) {
+    if (implies(delayed_design(c, n), d)) return static_cast<int>(n);
+  }
+  return -1;
+}
+
+TEST(Delayed, MinDelayFromOneRefinementMatchesThePerCycleLoop) {
+  std::map<int, std::size_t> seen;  // delay -> how often
+  const auto expect_same = [&](const Stg& c, const Stg& d, unsigned cap,
+                               const std::string& what) {
+    const int want = reference_min_delay_for_implication(c, d, cap);
+    EXPECT_EQ(min_delay_for_implication(c, d, cap), want) << what;
+    ++seen[want];
+  };
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; checked < 300; ++seed) {
+    const auto [dn, cn] = retimed_pair(seed);
+    if (dn.latches().size() > 7 || cn.latches().size() > 7) continue;
+    ++checked;
+    const std::string what = "seed " + std::to_string(seed);
+    const Stg d = Stg::extract(dn), c = Stg::extract(cn);
+    expect_same(c, d, 6, what + " C<=D");
+    expect_same(d, c, 6, what + " D<=C");
+    const Stg dq = Stg::extract_minimized(dn), cq = Stg::extract_minimized(cn);
+    expect_same(cq, dq, 6, what + " quotients");
+  }
+  // Figure 1: the retimed C needs one cycle before it implies D.
+  const Stg fig1_d = Stg::extract(figure1_original());
+  const Stg fig1_c = Stg::extract(figure1_retimed());
+  EXPECT_EQ(min_delay_for_implication(fig1_c, fig1_d, 4), 1);
+  expect_same(fig1_c, fig1_d, 4, "fig1");
+  expect_same(fig1_d, fig1_c, 4, "fig1 reversed");
+  // Pairs that never reach ⊑ under some or every cap.
+  for (unsigned n = 1; n <= 6; ++n) {
+    for_each_family_pair(n, [&](const Stg& c, const Stg& d,
+                                const std::string& what) {
+      for (const unsigned cap : {0u, 3u, 12u}) expect_same(c, d, cap, what);
+    });
+  }
+  // Every kind of answer occurred: ⊑ at once, after a delay, and never.
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[-1], 30u);
 }
 
 TEST(StgQuotient, ExtractionsMatchTheScalarOracleAtEveryLatchCount) {

@@ -157,6 +157,86 @@ TEST(Tpg, GradeTestsWithoutDelayMatchesPerPairOracle) {
   EXPECT_GT(missed, 50u);
 }
 
+/// The candidate-by-candidate fault-dropping loop generate_tests replaced:
+/// test_detects per (candidate, undetected fault), so a fresh good response
+/// and a fresh faulty design for every pair.
+TestSet reference_generate_tests(const Netlist& netlist,
+                                 const TpgOptions& options) {
+  TestSet set;
+  set.faults = collapse_faults(netlist);
+  set.detected.assign(set.faults.size(), false);
+  set.detected_by.assign(set.faults.size(), -1);
+  Rng rng(options.seed);
+  const unsigned inputs =
+      static_cast<unsigned>(netlist.primary_inputs().size());
+  for (unsigned c = 0; c < options.max_candidates; ++c) {
+    if (set.num_detected == set.faults.size()) break;
+    const unsigned length = static_cast<unsigned>(
+        rng.range(options.min_length, options.max_length));
+    BitsSeq candidate;
+    if (rng.chance(options.constant_probability)) {
+      Bits in(inputs);
+      for (auto& v : in) v = rng.coin();
+      candidate.assign(length, in);
+    } else {
+      for (unsigned t = 0; t < length; ++t) {
+        Bits in(inputs);
+        for (auto& v : in) v = rng.coin();
+        candidate.push_back(in);
+      }
+    }
+    bool kept = false;
+    for (std::size_t i = 0; i < set.faults.size(); ++i) {
+      if (set.detected[i] || !test_detects(netlist, set.faults[i], candidate)) {
+        continue;
+      }
+      if (!kept) {
+        set.tests.push_back(candidate);
+        kept = true;
+      }
+      set.detected[i] = true;
+      set.detected_by[i] = static_cast<int>(set.tests.size()) - 1;
+      ++set.num_detected;
+    }
+  }
+  set.coverage = set.faults.empty()
+                     ? 0.0
+                     : static_cast<double>(set.num_detected) /
+                           static_cast<double>(set.faults.size());
+  return set;
+}
+
+TEST(Tpg, GenerateTestsMatchesThePerPairLoop) {
+  // The same kept tests, in the same order, and the same first detector
+  // per fault, on every design the Tpg tests generate for and under a few
+  // option sets (full coverage reached early, and never reached).
+  const std::pair<std::string, Netlist> designs[] = {
+      {"and2", testing::and2_circuit()},
+      {"shift3", shift_register(3)},
+      {"adder2_2", pipelined_adder(2, 2)},
+      {"s27", iscas_s27()},
+      {"fig1", figure1_original()},
+  };
+  TpgOptions short_run;
+  short_run.max_candidates = 20;
+  short_run.seed = 7;
+  TpgOptions fresh_vectors;
+  fresh_vectors.constant_probability = 0.0;
+  fresh_vectors.seed = 3;
+  for (const auto& [name, n] : designs) {
+    for (const TpgOptions& options : {TpgOptions{}, short_run, fresh_vectors}) {
+      SCOPED_TRACE(name + " seed " + std::to_string(options.seed));
+      const TestSet want = reference_generate_tests(n, options);
+      const TestSet got = generate_tests(n, options);
+      EXPECT_EQ(got.tests, want.tests);
+      EXPECT_EQ(got.detected, want.detected);
+      EXPECT_EQ(got.detected_by, want.detected_by);
+      EXPECT_EQ(got.num_detected, want.num_detected);
+      EXPECT_EQ(got.coverage, want.coverage);
+    }
+  }
+}
+
 TEST(Tpg, Theorem46EndToEnd) {
   // Generate tests on D; retime min-area; grade the same tests on C and on
   // C^k. Coverage on C^k must not drop below coverage on D (Thm 4.6).
