@@ -10,7 +10,6 @@
 #include "bench_util.hpp"
 #include "gen/paper_circuits.hpp"
 #include "retime/graph.hpp"
-#include "retime/wd.hpp"
 
 namespace rtv {
 
@@ -75,14 +74,6 @@ void BM_ClockPeriod(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClockPeriod);
-
-void BM_WdMatrices(benchmark::State& state) {
-  const RetimeGraph g = RetimeGraph::from_netlist(figure1_original());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_wd(g));
-  }
-}
-BENCHMARK(BM_WdMatrices);
 
 }  // namespace
 }  // namespace rtv

@@ -67,7 +67,7 @@ void report() {
       } else if (policy[4] == 'a') {
         lag = min_area_retime(g).lag;
       } else {
-        lag = min_period_retime_opt(g).lag;
+        lag = min_period_retime_feas(g).lag;
       }
       SequencedRetiming seq;
       analyze_lag_retiming(n, g, lag, &seq);

@@ -82,12 +82,10 @@ int main(int argc, char** argv) {
               check_multiplies(lean, bits, bits + 8) ? "yes" : "NO");
 
   // Minimum registers subject to the optimal period (the [SR94] objective).
-  if (g.num_vertices() <= 4096) {
-    const auto both = min_area_retime_with_period(g, period.period);
-    if (both) {
-      std::printf("\nmin-area at period %d: %lld registers\n", period.period,
-                  static_cast<long long>(both->registers_after));
-    }
+  const auto both = min_area_retime_with_period(g, period.period);
+  if (both) {
+    std::printf("\nmin-area at period %d: %lld registers\n", period.period,
+                static_cast<long long>(both->registers_after));
   }
   return 0;
 }

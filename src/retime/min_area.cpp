@@ -5,7 +5,6 @@
 #include "retime/difference_constraints.hpp"
 #include "retime/mcmf.hpp"
 #include "retime/min_period.hpp"
-#include "retime/wd.hpp"
 #include "util/error.hpp"
 
 namespace rtv {
@@ -121,24 +120,34 @@ MinAreaResult min_area_retime_safe(const RetimeGraph& graph,
 
 std::optional<MinAreaResult> min_area_retime_with_period(
     const RetimeGraph& graph, int period) {
-  const WdMatrices wd = compute_wd(graph);
-  // Infeasible periods would make the dual unbounded; detect them first.
-  if (!feasible_retiming_opt(graph, wd, period)) return std::nullopt;
-
-  std::vector<Constraint> cs = legality_constraints(graph);
+  // Lazy constraint generation [SR94]: solve min-area under the legality
+  // constraints plus the critical-path cuts found so far, and cut again
+  // while the read-out misses the period. Every cut is implied by the
+  // exact [LS83] period constraints, so the relaxed optimal face contains
+  // the exact one, and a relaxed read-out that meets the period is the
+  // exact least optimal vector (docs/algorithms.md, "Min-area at a period
+  // by lazy cuts"). Each round cuts off the current read-out and the cuts
+  // are finite, so the loop ends with no round cap.
+  if (max_vertex_delay(graph) > period) return std::nullopt;
   const std::uint32_t n = graph.num_vertices();
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (u != v && wd.reachable(u, v) && wd.D(u, v) > period) {
-        cs.push_back({u, v, wd.W(u, v) - 1});
-      }
+  const std::vector<int> imbalance = graph.degree_imbalance();
+  std::vector<Constraint> cs = legality_constraints(graph);
+  DifferenceConstraints system(n);
+  for (const Constraint& c : cs) system.add(c.u, c.v, c.bound);
+  CriticalPathCuts generator(graph);
+  std::vector<PeriodCut> cuts;
+  while (true) {
+    // An infeasible relaxation would make the dual unbounded, and it
+    // proves the period infeasible: the exact system is stronger.
+    if (!system.solve()) return std::nullopt;
+    MinAreaResult result = finish(graph, solve_dual(n, imbalance, cs));
+    cuts.clear();
+    if (generator.meets(result.lag, period, cuts)) return result;
+    for (const PeriodCut& cut : cuts) {
+      cs.push_back({cut.u, cut.v, cut.bound});
+      system.add(cut.u, cut.v, cut.bound);
     }
   }
-  MinAreaResult result =
-      finish(graph, solve_dual(n, graph.degree_imbalance(), cs));
-  RTV_CHECK_MSG(graph.clock_period(result.lag) <= period,
-                "period constraint violated by min-area solution");
-  return result;
 }
 
 }  // namespace rtv

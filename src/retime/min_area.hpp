@@ -5,11 +5,17 @@
 //
 // LP formulation: registers after retiming = sum_e w(e) + sum_v a_v lag(v)
 // with a_v = indeg(v) - outdeg(v), subject to the legality constraints
-// lag(u) - lag(v) <= w(e) and, when a period c is given, the [LS83] period
-// constraints lag(u) - lag(v) <= W(u,v) - 1 for all D(u,v) > c. The LP dual
-// is a transshipment problem solved with MinCostFlow; the lags returned are
-// the least optimal ones (tight on every arc carrying flow), anchored at
-// host = 0 — the same vector whatever optimal flow was found.
+// lag(u) - lag(v) <= w(e). The LP dual is a transshipment problem solved
+// with MinCostFlow; the lags returned are the least optimal ones (tight on
+// every arc carrying flow), anchored at host = 0 — the same vector whatever
+// optimal flow was found.
+//
+// Under a period c the exact [LS83] system adds lag(u) - lag(v) <= W(u,v) - 1
+// for all D(u,v) > c. Those constraints are generated lazily [SR94]: the
+// critical-path cuts of the read-out (CriticalPathCuts, min_period.hpp — the
+// same generator FEAS uses) are added until the read-out meets the period.
+// Each cut is implied by the exact system, so the result is its least
+// optimal vector, with no W/D matrices and no vertex cap.
 //
 // Register-count model: one register per wire chain unit (edge weight sum).
 // [SR94]'s fanout-sharing refinement (registers on sibling fanout edges
@@ -32,8 +38,7 @@ struct MinAreaResult {
 MinAreaResult min_area_retime(const RetimeGraph& graph);
 
 /// Minimum-register retiming subject to clock period <= period. Returns
-/// nullopt if the period is infeasible. Computes W/D matrices (quadratic);
-/// intended for small/medium graphs.
+/// nullopt if the period is infeasible.
 std::optional<MinAreaResult> min_area_retime_with_period(
     const RetimeGraph& graph, int period);
 

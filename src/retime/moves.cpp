@@ -80,6 +80,11 @@ MoveReason move_reason(const Netlist& netlist, const RetimingMove& move) {
 
 MoveClass apply_move(Netlist& netlist, const RetimingMove& move) {
   RTV_REQUIRE(can_apply(netlist, move), "retiming move is not enabled");
+  return detail::apply_enabled_move(netlist, move);
+}
+
+MoveClass detail::apply_enabled_move(Netlist& netlist,
+                                     const RetimingMove& move) {
   const NodeId e = move.element;
   const MoveClass cls = classify_move(netlist, move);
   if (move.direction == MoveDirection::kForward) {

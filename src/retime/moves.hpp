@@ -84,6 +84,12 @@ inline bool can_apply(const Netlist& netlist, const RetimingMove& move) {
 /// Returns the classification of the applied move.
 MoveClass apply_move(Netlist& netlist, const RetimingMove& move);
 
+namespace detail {
+/// apply_move without its enabledness check, for the move replay, which
+/// has just had move_reason say yes on the same netlist.
+MoveClass apply_enabled_move(Netlist& netlist, const RetimingMove& move);
+}  // namespace detail
+
 /// All currently enabled moves (both directions, every combinational
 /// element). Deterministic order.
 std::vector<RetimingMove> enabled_moves(const Netlist& netlist);

@@ -14,7 +14,7 @@ MoveReason MoveReplay::step(const RetimingMove& move, MoveClass* cls) {
   const MoveReason reason = move_reason(work_, move);
   if (!reason.enabled()) return reason;
   if (before_move_) before_move_(work_, move);
-  const MoveClass applied = apply_move(work_, move);
+  const MoveClass applied = detail::apply_enabled_move(work_, move);
   count(move, applied);
   if (cls != nullptr) *cls = applied;
   return reason;

@@ -233,7 +233,7 @@ TEST(Validator, MinPeriodRetimingValidates) {
   opt.latch_after_gate_probability = 0.4;
   const Netlist n = random_netlist(opt, rng);
   const RetimeGraph g = RetimeGraph::from_netlist(n);
-  const RetimingSolution sol = min_period_retime_opt(g);
+  const RetimingSolution sol = min_period_retime_feas(g);
   const RetimingValidation v = validate_retiming(n, g, sol.lag);
   EXPECT_TRUE(v.theorems_hold) << v.summary();
   EXPECT_TRUE(v.cls.equivalent);

@@ -95,19 +95,21 @@ TEST(Flow, MinPeriodOnPipelineAccepted) {
 }
 
 TEST(Flow, MinAreaAtMinPeriodMeetsBothGoals) {
-  const Netlist n = pipelined_adder(3, 2);
-  FlowOptions fastest;
-  fastest.objective = FlowOptions::Objective::kMinPeriod;
-  fastest.verify.explicit_opts.max_branching = 1;  // bounded CLS check
-  const FlowReport fast = run_synthesis_flow(n, fastest);
+  for (const Netlist& n :
+       {pipelined_adder(3, 2), testing::above_wd_cap_design()}) {
+    FlowOptions fastest;
+    fastest.objective = FlowOptions::Objective::kMinPeriod;
+    fastest.verify.explicit_opts.max_branching = 1;  // bounded CLS check
+    const FlowReport fast = run_synthesis_flow(n, fastest);
 
-  FlowOptions both;
-  both.objective = FlowOptions::Objective::kMinAreaAtMinPeriod;
-  both.verify.explicit_opts.max_branching = 1;
-  const FlowReport r = run_synthesis_flow(n, both);
-  EXPECT_TRUE(r.accepted()) << r.summary();
-  EXPECT_EQ(r.period_after, fast.period_after);
-  EXPECT_LE(r.registers_after, fast.registers_after);
+    FlowOptions both;
+    both.objective = FlowOptions::Objective::kMinAreaAtMinPeriod;
+    both.verify.explicit_opts.max_branching = 1;
+    const FlowReport r = run_synthesis_flow(n, both);
+    EXPECT_TRUE(r.accepted()) << r.summary();
+    EXPECT_EQ(r.period_after, fast.period_after);
+    EXPECT_LE(r.registers_after, fast.registers_after);
+  }
 }
 
 TEST(Flow, CleanupOnlyFlow) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analysis/dataflow.hpp"
+#include "gen/random_circuits.hpp"
 #include "netlist/netlist.hpp"
 #include "retime/graph.hpp"
 #include "sim/vectors.hpp"
@@ -135,6 +136,21 @@ inline Netlist stuck_at_x() {
   n.connect(x, out);
   n.check_valid(true);
   return n;
+}
+
+/// A 3,000-gate random design whose retiming graph has 4,595 vertices
+/// (4,122 after the synthesis flow's cleanup): above the 4096-vertex cap of
+/// the W/D matrices (tests/wd_reference.hpp), which min-area at a period
+/// once built.
+inline Netlist above_wd_cap_design() {
+  Rng rng(7);
+  RandomCircuitOptions opt;
+  opt.num_inputs = 16;
+  opt.num_outputs = 16;
+  opt.num_gates = 3000;
+  opt.num_latches = 3000 / 8;
+  opt.latch_after_gate_probability = 0.25;
+  return random_netlist(opt, rng);
 }
 
 /// A random legal lag: `attempts` single-vertex +-1 probes, each kept when

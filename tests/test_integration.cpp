@@ -65,7 +65,7 @@ TEST_P(RetimingSweep, MinPeriodEndToEnd) {
   opt.latch_after_gate_probability = 0.3;
   const Netlist n = random_netlist(opt, rng);
   const RetimeGraph g = RetimeGraph::from_netlist(n);
-  const RetimingSolution sol = min_period_retime_opt(g);
+  const RetimingSolution sol = min_period_retime_feas(g);
   EXPECT_LE(sol.period, g.clock_period());
 
   const RetimingValidation v = validate_retiming(n, g, sol.lag);
@@ -92,7 +92,7 @@ TEST(Integration, PipelineRetimeRoundTripBehaviour) {
   const Netlist n = pipelined_adder(bits, 2);
   const RetimeGraph g = RetimeGraph::from_netlist(n);
   for (const auto& lag :
-       {min_period_retime_opt(g).lag, min_area_retime(g).lag}) {
+       {min_period_retime_feas(g).lag, min_area_retime(g).lag}) {
     const Netlist r = apply_retiming(n, g, lag);
     BinarySimulator sim(r);
     Rng rng(3);
@@ -199,7 +199,7 @@ TEST(Integration, SequencedMinPeriodKeepsStgDelayEquivalence) {
   for (int trial = 0; trial < 8 && checked < 4; ++trial) {
     const Netlist n = random_netlist(opt, rng);
     const RetimeGraph g = RetimeGraph::from_netlist(n);
-    const RetimingSolution sol = min_period_retime_opt(g);
+    const RetimingSolution sol = min_period_retime_feas(g);
     SequencedRetiming seq = sequence_retiming(n, g, sol.lag);
     if (seq.retimed.num_latches() > 9 || n.num_latches() > 9) continue;
     const Stg d = Stg::extract(n);

@@ -10,10 +10,10 @@
 #include "retime/mcmf.hpp"
 #include "retime/min_area.hpp"
 #include "retime/min_period.hpp"
-#include "retime/wd.hpp"
 #include "stg/stg.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "wd_reference.hpp"
 
 namespace rtv {
 namespace {
@@ -286,6 +286,21 @@ TEST(MinAreaWithPeriod, RespectsPeriodConstraint) {
 TEST(MinAreaWithPeriod, InfeasiblePeriodReturnsNullopt) {
   const RetimeGraph g = RetimeGraph::from_netlist(inverter_pipeline());
   EXPECT_FALSE(min_area_retime_with_period(g, 0).has_value());
+}
+
+TEST(MinAreaWithPeriod, WorksAboveTheOldVertexCap) {
+  // Min-area at a period once built the W/D matrices and refused graphs
+  // above 4096 vertices; its cut loop has no vertex cap.
+  const RetimeGraph g =
+      RetimeGraph::from_netlist(testing::above_wd_cap_design());
+  ASSERT_GT(g.num_vertices(), 4096u);
+  const RetimingSolution feas = min_period_retime_feas(g);
+  const auto r = min_area_retime_with_period(g, feas.period);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(g.legal_retiming(r->lag));
+  EXPECT_LE(g.clock_period(r->lag), feas.period);
+  EXPECT_GE(r->registers_after, min_area_retime(g).registers_after);
+  EXPECT_LE(r->registers_after, g.retimed_total_weight(feas.lag));
 }
 
 TEST(MinAreaWithPeriod, MatchesBruteForce) {

@@ -4,8 +4,8 @@
 #include "gen/paper_circuits.hpp"
 #include "gen/shift.hpp"
 #include "retime/graph.hpp"
-#include "retime/wd.hpp"
 #include "test_helpers.hpp"
+#include "wd_reference.hpp"
 
 namespace rtv {
 namespace {

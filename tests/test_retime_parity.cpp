@@ -21,8 +21,8 @@
 #include "retime/graph.hpp"
 #include "retime/min_area.hpp"
 #include "retime/min_period.hpp"
-#include "retime/wd.hpp"
 #include "util/rng.hpp"
+#include "wd_reference.hpp"
 
 namespace rtv {
 namespace {
@@ -435,7 +435,8 @@ TEST(RetimeParity, MinAreaWithPeriodReadsOutTheLeastOptimalLags) {
   // hold; the lags are the least optimal vector, computed here from the
   // reference flow. (The achieved period is not pinned to the old one: in
   // one case here the least vector reaches period 2 where the old lags
-  // reached 3, both under the constraint 3.)
+  // reached 3, both under the constraint 3.) One below the optimum the
+  // answer is nullopt, as OPT's.
   int cases = 0;
   int changed = 0;
   for (const Design& d : parity_designs()) {
@@ -443,6 +444,10 @@ TEST(RetimeParity, MinAreaWithPeriodReadsOutTheLeastOptimalLags) {
     if (g.num_vertices() > 96) continue;
     const WdMatrices wd = compute_wd(g);
     const int lowest = min_period_retime_opt(g).period;
+    ASSERT_FALSE(feasible_retiming_opt(g, wd, lowest - 1).has_value())
+        << d.name;
+    EXPECT_FALSE(min_area_retime_with_period(g, lowest - 1).has_value())
+        << d.name << " @" << lowest - 1;
     for (int period = lowest; period <= g.clock_period(); ++period) {
       const auto now = min_area_retime_with_period(g, period);
       ASSERT_TRUE(now.has_value()) << d.name << " @" << period;
