@@ -4,10 +4,13 @@
 //
 // Besides the console tables, the report writes BENCH_sim.json (the
 // shared row schema, bench_util.hpp) recording scalar-vs-packed CLS
-// pattern throughput, gated on a positive speedup per workload;
+// pattern throughput, gated on a positive speedup per workload, and the
+// packed STG sweep's row-keyed minimized extraction against the quotient
+// of the raw machine, gated on identical quotient tables;
 // docs/performance.md documents the methodology. RTV_BENCH_SMOKE=1
 // shrinks every workload so CI can run the report in seconds.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -17,10 +20,14 @@
 #include "gen/datapath.hpp"
 #include "gen/random_circuits.hpp"
 #include "gen/shift.hpp"
+#include "retime/min_area.hpp"
+#include "retime/min_period.hpp"
+#include "retime/sequencer.hpp"
 #include "sim/binary_sim.hpp"
 #include "sim/cls_sim.hpp"
 #include "sim/exact_sim.hpp"
 #include "sim/packed_sim.hpp"
+#include "stg/stg.hpp"
 #include "util/rng.hpp"
 
 namespace rtv {
@@ -146,6 +153,117 @@ void report_packed(bench::Report* report) {
   }
 }
 
+// ---- E11c: row-keyed minimized extraction ---------------------------------
+
+struct ExtractRow {
+  std::string name;
+  unsigned latches = 0, inputs = 0;
+  std::uint64_t reps = 0;    ///< rows swept: representatives, else 2^L
+  std::uint64_t states = 0;  ///< quotient states
+  double keyed_ms = 0.0;     ///< Stg::extract_minimized
+  double raw_ms = 0.0;       ///< quotient(extract, equivalence_classes)
+  bool same = false;         ///< table for table
+};
+
+bool same_tables(const Stg& a, const Stg& b) {
+  if (a.num_states() != b.num_states() || !a.compatible_with(b)) return false;
+  for (std::uint64_t s = 0; s < a.num_states(); ++s) {
+    for (std::uint64_t i = 0; i < a.num_inputs(); ++i) {
+      if (a.next_state(s, i) != b.next_state(s, i) ||
+          a.output(s, i) != b.output(s, i)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+template <typename F>
+double best_ms(int repeats, F&& f) {
+  double best = 1e300;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    f();
+    best = std::min(best, seconds_since(t0) * 1e3);
+  }
+  return best;
+}
+
+ExtractRow measure_extraction(const std::string& name, const Netlist& n,
+                              int repeats) {
+  ExtractRow row;
+  row.name = name;
+  row.latches = static_cast<unsigned>(n.num_latches());
+  row.inputs = static_cast<unsigned>(n.primary_inputs().size());
+  const RowKeys keys = row_keys(n);
+  row.reps = keys.reps.empty() ? std::uint64_t{1} << row.latches
+                               : keys.reps.size();
+  const Stg keyed = Stg::extract_minimized(n);
+  const Stg raw = Stg::extract(n);
+  row.states = keyed.num_states();
+  row.same = same_tables(keyed, quotient(raw, equivalence_classes(raw)));
+  row.keyed_ms = best_ms(repeats, [&] {
+    benchmark::DoNotOptimize(Stg::extract_minimized(n));
+  });
+  row.raw_ms = best_ms(repeats, [&] {
+    const Stg m = Stg::extract(n);
+    benchmark::DoNotOptimize(quotient(m, equivalence_classes(m)));
+  });
+  return row;
+}
+
+void report_row_keyed(bench::Report* report) {
+  bench::heading("E11c / row-keyed extraction",
+                 "Stg::extract_minimized (one representative state per row "
+                 "key) vs quotient(extract)");
+  const int repeats = bench::smoke_mode() ? 3 : 21;
+  const Netlist adder = pipelined_adder(4, 2);
+  const RetimeGraph g = RetimeGraph::from_netlist(adder);
+  Rng rng(11);
+  RandomCircuitOptions opt;
+  opt.num_inputs = 4;
+  opt.num_latches = 10;
+  opt.num_gates = 40;
+  opt.latch_after_gate_probability = 0.0;
+  const std::pair<std::string, Netlist> designs[] = {
+      {"adder4_2", adder},
+      {"adder4_2/min-area",
+       sequence_retiming(adder, g, min_area_retime(g).lag).retimed},
+      {"adder4_2/min-period",
+       sequence_retiming(adder, g, min_period_retime_feas(g).lag).retimed},
+      {"shift8", shift_register(8)},
+      {"lfsr8", lfsr(8, {0, 3, 5})},
+      {"random40_s11", random_netlist(opt, rng)},
+  };
+  std::vector<ExtractRow> rows;
+  for (const auto& [name, n] : designs) {
+    report->gate({name, "stg", "same_quotient"}, bench::Gate::eq(true));
+    rows.push_back(measure_extraction(name, n, repeats));
+  }
+  std::printf("%-20s %-4s %-4s %-6s %-7s %-12s %-12s %-5s\n", "design", "L",
+              "I", "rows", "states", "keyed ms", "raw ms", "same");
+  for (const ExtractRow& r : rows) {
+    std::printf("%-20s %-4u %-4u %-6llu %-7llu %-12.4f %-12.4f %-5s\n",
+                r.name.c_str(), r.latches, r.inputs,
+                static_cast<unsigned long long>(r.reps),
+                static_cast<unsigned long long>(r.states), r.keyed_ms,
+                r.raw_ms, r.same ? "yes" : "NO");
+    report->add({r.name, "stg", "latches"}, r.latches, "count");
+    report->add({r.name, "stg", "inputs"}, r.inputs, "count");
+    report->add({r.name, "stg", "representatives"},
+                static_cast<double>(r.reps), "count");
+    report->add({r.name, "stg", "quotient_states"},
+                static_cast<double>(r.states), "count");
+    report->add({r.name, "stg", "extract_minimized_ms"}, r.keyed_ms, "ms");
+    report->add({r.name, "stg", "quotient_of_extract_ms"}, r.raw_ms, "ms");
+    report->add_flag({r.name, "stg", "same_quotient"}, r.same);
+  }
+  std::printf("(best of %d; rows = states swept per input symbol: one "
+              "representative per row key, or 2^L where no key halves the "
+              "states)\n",
+              repeats);
+}
+
 }  // namespace
 
 void report() {
@@ -201,6 +319,7 @@ void report() {
 
   bench::Report report("sim_throughput");
   report_packed(&report);
+  report_row_keyed(&report);
   report.emit("BENCH_sim.json");
 }
 

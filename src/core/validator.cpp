@@ -15,7 +15,8 @@ std::string RetimingValidation::summary() const {
   if (stg_checked) {
     os << "stg:      C " << (implication ? "⊑" : "⋢") << " D, C "
        << (safe_replacement ? "≼" : "⋠") << " D, min delay n with C^n ⊑ D: "
-       << min_delay_implication << "\n";
+       << min_delay_implication << "; quotients C " << c_quotient_states
+       << ", D " << d_quotient_states << " states\n";
     os << "theorems: " << (theorems_hold ? "consistent" : "VIOLATED") << "\n";
   } else if (stg_budget_exhausted) {
     os << "stg:      skipped (resource budget exhausted)\n";
@@ -82,6 +83,8 @@ RetimingValidation validate_retiming(const Netlist& original,
         v.implication = implication;
         v.safe_replacement = safe_repl;
         v.min_delay_implication = min_delay;
+        v.c_quotient_states = c.num_states();
+        v.d_quotient_states = d.num_states();
 
         // Cross-check the static guarantees against exact ground truth.
         if (v.safety.safe_replacement_guaranteed &&

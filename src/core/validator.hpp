@@ -50,6 +50,10 @@ struct RetimingValidation {
   bool implication = false;          ///< C ⊑ D (exact)
   bool safe_replacement = false;     ///< C ≼ D (exact)
   int min_delay_implication = -1;    ///< least n with C^n ⊑ D (exact)
+  /// States of the Mealy quotients of C and D the exact relations ran on
+  /// (0 unless stg_checked).
+  std::uint64_t c_quotient_states = 0;
+  std::uint64_t d_quotient_states = 0;
   /// STG phase was within caps but aborted by the resource budget.
   bool stg_budget_exhausted = false;
 

@@ -244,6 +244,10 @@ JobOutput validate_job(const JsonValue& options, const JobDesigns& designs,
   result.emplace_back("safe_replacement", JsonValue(v.safe_replacement));
   result.emplace_back("min_delay_implication",
                       JsonValue(static_cast<double>(v.min_delay_implication)));
+  result.emplace_back("c_quotient_states",
+                      JsonValue(static_cast<double>(v.c_quotient_states)));
+  result.emplace_back("d_quotient_states",
+                      JsonValue(static_cast<double>(v.d_quotient_states)));
   out.result = JsonValue(std::move(result));
   if (env.want_text) out.text = v.summary();
   return out;

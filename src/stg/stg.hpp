@@ -42,9 +42,13 @@ class Stg {
                      ResourceBudget* budget = nullptr);
 
   /// The Mealy quotient of extract(netlist), streamed from the same sweep
-  /// without building the raw machine: isomorphic to
-  /// quotient(extract(n), equivalence_classes(extract(n))). Throws
-  /// CapacityError above 2^16 states, ResourceExhausted like extract.
+  /// without building the raw machine: table for table
+  /// quotient(extract(n), equivalence_classes(extract(n))). Where netlist
+  /// structure shows that a row key (the latches read alongside a PI, and
+  /// the values of the functions that read no PI) at least halves the
+  /// states, the sweep simulates one representative state per key
+  /// (docs/algorithms.md, "Row-keyed extraction"). Throws CapacityError
+  /// above 2^16 states, ResourceExhausted like extract.
   static Stg extract_minimized(const Netlist& netlist,
                                std::uint64_t entry_cap = kDefaultStgEntryCap,
                                ResourceBudget* budget = nullptr);
@@ -99,6 +103,18 @@ class Stg {
   std::vector<std::uint32_t> next_;
   std::vector<std::uint64_t> out_;
 };
+
+/// The rows Stg::extract_minimized sweeps (docs/algorithms.md, "Row-keyed
+/// extraction"). States with equal row keys have equal rows under every
+/// input; `reps` lists the first state of each key in state order and
+/// rep_of[s] is the index in `reps` of state s's key. Both are empty where
+/// the key would not at least halve the states: every state is then its
+/// own row. At most 16 latches.
+struct RowKeys {
+  std::vector<std::uint32_t> reps;
+  std::vector<std::uint16_t> rep_of;
+};
+RowKeys row_keys(const Netlist& netlist, ResourceBudget* budget = nullptr);
 
 // ---- minimize.cpp ----------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <string>
 
+#include "gen/datapath.hpp"
 #include "gen/paper_circuits.hpp"
 #include "io/json.hpp"
 #include "io/rnl_format.hpp"
@@ -116,6 +117,26 @@ TEST(Jobs, ValidateIsDecidedByThePerMoveCertificate) {
       serve::run_job(JobType::kValidate, JsonValue(), designs, env).text;
   // The text report's decided: line and the result carry the same reason.
   EXPECT_NE(text.find("decided:  static (" + reason + ")"), std::string::npos)
+      << text;
+}
+
+TEST(Jobs, ValidateReportsTheQuotientSizes) {
+  // pipelined_adder(4, 2) and its min-area retiming both reduce to 32
+  // states; the result and the text report's stg: line say so.
+  const Netlist adder = pipelined_adder(4, 2);
+  const BothPaths both = run_both(JobType::kValidate, adder, "{}");
+  EXPECT_EQ(write_json(both.served), write_json(both.direct.result));
+  EXPECT_TRUE(both.served.find("stg_checked")->as_bool());
+  EXPECT_EQ(both.served.find("c_quotient_states")->as_number(), 32.0);
+  EXPECT_EQ(both.served.find("d_quotient_states")->as_number(), 32.0);
+
+  serve::JobDesigns designs;
+  designs.a = &adder;
+  serve::JobEnv env;
+  env.want_text = true;
+  const std::string text =
+      serve::run_job(JobType::kValidate, JsonValue(), designs, env).text;
+  EXPECT_NE(text.find("; quotients C 32, D 32 states\n"), std::string::npos)
       << text;
 }
 

@@ -15,6 +15,7 @@
 #include <bit>
 #include <map>
 #include <optional>
+#include <tuple>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -120,6 +121,20 @@ void expect_matches_scalar(const Netlist& n, const std::string& what) {
   }
 }
 
+/// Equal tables entry for entry, state numbering included.
+bool same_tables(const Stg& a, const Stg& b) {
+  if (a.num_states() != b.num_states() || !a.compatible_with(b)) return false;
+  for (std::uint64_t s = 0; s < a.num_states(); ++s) {
+    if (!std::equal(a.next_row(s), a.next_row(s) + a.num_inputs(),
+                    b.next_row(s)) ||
+        !std::equal(a.output_row(s), a.output_row(s) + a.num_inputs(),
+                    b.output_row(s))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// A bijection between the states of `a` and `b` that preserves outputs and
 /// transitions. Both machines are reduced here, so Mealy equivalence on
 /// their disjoint union pairs each state of `a` with exactly one of `b`.
@@ -196,7 +211,9 @@ TEST(StgQuotient, ExtractMinimizedIsTheQuotientOfTheRawMachine) {
   for (const auto& [name, n] : cases) {
     const Stg raw = Stg::extract(n);
     const Stg expected = quotient(raw, equivalence_classes(raw));
-    EXPECT_TRUE(isomorphic(Stg::extract_minimized(n), expected)) << name;
+    const Stg got = Stg::extract_minimized(n);
+    EXPECT_TRUE(isomorphic(got, expected)) << name;
+    EXPECT_TRUE(same_tables(got, expected)) << name;
   }
 }
 
@@ -280,6 +297,8 @@ TEST(StgQuotient, ValidateDecidesPipelinedAdder42OnQuotients) {
     EXPECT_TRUE(v.safe_replacement);
     EXPECT_EQ(v.min_delay_implication, 0);
     EXPECT_EQ(v.verdict, Verdict::kProven);
+    EXPECT_EQ(v.c_quotient_states, 32u);
+    EXPECT_EQ(v.d_quotient_states, 32u);
   }
 }
 
@@ -778,6 +797,134 @@ TEST(StgQuotient, ExtractionsMatchTheScalarOracleAtEveryLatchCount) {
       }
     }
   }
+}
+
+
+// ---- row-keyed extraction ------------------------------------------------
+
+/// `mixed` latches b_j with next state b_j XOR x_(j mod I), so M holds
+/// them; `stages` latches a_i with next state x_(i mod I), in neither M nor
+/// F; and one output (b_0 AND a_0) XOR b_1 XOR ... XOR b_(mixed-1), which
+/// reads no PI, so F holds it. Its keys (b, output) take 3 * 2^(mixed-1)
+/// values: b_0 = 1 splits on a_0.
+Netlist mixed_key_design(unsigned inputs, unsigned mixed, unsigned stages) {
+  Netlist n;
+  std::vector<NodeId> x, b, a;
+  for (unsigned i = 0; i < inputs; ++i) {
+    x.push_back(n.add_input(indexed_name("x", i)));
+  }
+  const NodeId out = n.add_output("out");
+  for (unsigned j = 0; j < mixed; ++j) {
+    b.push_back(n.add_latch(indexed_name("b", j)));
+  }
+  for (unsigned i = 0; i < stages; ++i) {
+    a.push_back(n.add_latch(indexed_name("a", i)));
+  }
+  for (unsigned j = 0; j < mixed; ++j) {
+    const NodeId g = n.add_gate(CellKind::kXor, 2);
+    n.connect(b[j], g, 0);
+    n.connect(x[j % inputs], g, 1);
+    n.connect(g, b[j]);
+  }
+  for (unsigned i = 0; i < stages; ++i) n.connect(x[i % inputs], a[i]);
+  const NodeId both = n.add_gate(CellKind::kAnd, 2);
+  n.connect(b[0], both, 0);
+  n.connect(a[0], both, 1);
+  const NodeId parity = n.add_gate(CellKind::kXor, mixed);
+  n.connect(both, parity, 0);
+  for (unsigned j = 1; j < mixed; ++j) n.connect(b[j], parity, j);
+  n.connect(parity, out);
+  n.junctionize();
+  return n;
+}
+
+/// Pipelines, their sequenced min-area and min-period retimings, and
+/// mixed-key designs, as far as the raw machine fits the 16-latch and
+/// 2^24-entry caps.
+std::vector<std::pair<std::string, Netlist>> row_keyed_cases() {
+  std::vector<std::pair<std::string, Netlist>> cases;
+  const auto add = [&](const std::string& name, Netlist n) {
+    if (n.latches().size() <= 16 &&
+        n.latches().size() + n.primary_inputs().size() <= 24) {
+      cases.emplace_back(name, std::move(n));
+    }
+  };
+  const auto add_retimings = [&](const std::string& name, const Netlist& n) {
+    const RetimeGraph g = RetimeGraph::from_netlist(n);
+    add(name, n);
+    add(name + "/min-area",
+        sequence_retiming(n, g, min_area_retime(g).lag).retimed);
+    add(name + "/min-period",
+        sequence_retiming(n, g, min_period_retime_feas(g).lag).retimed);
+  };
+  for (const auto& [bits, stages] : {std::pair{2u, 1u}, {3u, 1u}, {2u, 2u},
+                                     {3u, 2u}, {4u, 2u}}) {
+    add_retimings("adder" + std::to_string(bits) + "_" + std::to_string(stages),
+                  pipelined_adder(bits, stages));
+  }
+  for (const auto& [bits, rows] : {std::pair{2u, 1u}, {3u, 1u}, {3u, 2u},
+                                   {4u, 2u}}) {
+    add_retimings("mult" + std::to_string(bits) + "_" + std::to_string(rows),
+                  pipelined_multiplier(bits, rows));
+  }
+  // K * |Σ| below a word (3 * 2), past whole words (24 * 4), one state per
+  // word (12 * 64), and words past whole 64-word chunks (3072 * 2 / 64).
+  for (const auto& [inputs, mixed, stages] :
+       {std::tuple{1u, 1u, 2u}, {2u, 4u, 2u}, {6u, 3u, 3u}, {1u, 11u, 2u}}) {
+    add("mixed" + std::to_string(inputs) + "_" + std::to_string(mixed) + "_" +
+            std::to_string(stages),
+        mixed_key_design(inputs, mixed, stages));
+  }
+  return cases;
+}
+
+TEST(StgQuotient, RowKeyedExtractionIsTheRawQuotientTableForTable) {
+  std::size_t collapsed = 0;
+  for (const auto& [name, n] : row_keyed_cases()) {
+    collapsed += !row_keys(n).reps.empty();
+    const Stg raw = Stg::extract(n);
+    EXPECT_TRUE(same_tables(Stg::extract_minimized(n),
+                            quotient(raw, equivalence_classes(raw))))
+        << name;
+  }
+  // adder2_2, 3_2 and 4_2 with their min-period retimings, and the four
+  // mixed-key designs.
+  EXPECT_EQ(collapsed, 10u);
+}
+
+TEST(StgQuotient, RowKeysShareRowsAndFollowFirstStates) {
+  bool below_a_word = false, past_whole_words = false, one_per_word = false,
+       past_whole_chunks = false;
+  for (const auto& [name, n] : row_keyed_cases()) {
+    const RowKeys keys = row_keys(n);
+    if (keys.reps.empty()) continue;
+    const Stg raw = Stg::extract(n);
+    ASSERT_EQ(keys.rep_of.size(), raw.num_states()) << name;
+    for (std::size_t r = 0; r < keys.reps.size(); ++r) {
+      ASSERT_EQ(keys.rep_of[keys.reps[r]], r) << name;
+      ASSERT_TRUE(r == 0 || keys.reps[r - 1] < keys.reps[r]) << name;
+    }
+    for (std::uint64_t s = 0; s < raw.num_states(); ++s) {
+      const std::uint32_t rep = keys.reps[keys.rep_of[s]];
+      ASSERT_LE(rep, s) << name;
+      ASSERT_TRUE(std::equal(raw.next_row(s), raw.next_row(s) + raw.num_inputs(),
+                             raw.next_row(rep)) &&
+                  std::equal(raw.output_row(s),
+                             raw.output_row(s) + raw.num_inputs(),
+                             raw.output_row(rep)))
+          << name << ": state " << s << " and its representative " << rep;
+    }
+    const std::uint64_t entries = keys.reps.size() * raw.num_inputs();
+    below_a_word |= entries < 64;
+    past_whole_words |= entries > 64 && entries % 64 != 0;
+    one_per_word |= raw.num_inputs() >= 64;
+    past_whole_chunks |= entries / 64 > 64 && entries / 64 % 64 != 0;
+  }
+  EXPECT_TRUE(below_a_word && past_whole_words && one_per_word &&
+              past_whole_chunks);
+  // Both parts of a mixed key: 3 * 2^(mixed-1) keys.
+  EXPECT_EQ(row_keys(mixed_key_design(2, 4, 2)).reps.size(), 24u);
+  EXPECT_EQ(row_keys(mixed_key_design(1, 11, 2)).reps.size(), 3072u);
 }
 
 }  // namespace
